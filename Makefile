@@ -1,4 +1,4 @@
-.PHONY: all build test bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
+.PHONY: all build test bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke check clean
 
 all: build
 
@@ -95,7 +95,17 @@ kcrash-smoke:
 	dune exec bin/kcrash_tool.exe -- sweep --max-per-site 2
 	dune exec bin/kcrash_tool.exe -- crash-at 100
 
-check: build test bench-smoke kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke
+# One short run of each benchmark workload (perfbench/, declared in
+# BENCHMARK.json).  perfbench exits non-zero when an output differs from
+# its reference or the determinism fingerprint drifts between repeats.
+perfbench-smoke:
+	dune build ./perfbench/perfbench.exe
+	for w in web postmark journal cosy_db; do \
+	  ./_build/default/perfbench/perfbench.exe --workload $$w --seed 1 \
+	    --seconds 1 --trace 0 || exit 1; \
+	done
+
+check: build test bench-smoke kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke
 
 clean:
 	dune clean

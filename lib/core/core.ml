@@ -334,31 +334,6 @@ let trace t =
   Ktrace.Recorder.attach r t.sys;
   r
 
-(* A periodic kstats snapshot feed into the monitoring event stream. *)
-let stats_feed ?interval t = Kmonitor.Stats_feed.create ?interval t.kernel
-
-(* Mirror kperf span begin/end into the monitoring event stream. *)
-let perf_feed t =
-  let b = Kmonitor.Perf_bridge.create t.kernel in
-  Kmonitor.Perf_bridge.attach b;
-  b
-
-(* Mirror kfault fires into the monitoring event stream. *)
-let fault_feed t =
-  let f = Kmonitor.Fault_feed.create t.kernel in
-  Kmonitor.Fault_feed.attach f;
-  f
-
-(* Mirror kcrash events (oops/power-loss/recovery) into the monitoring
-   event stream; [None] when the system booted without a crash config. *)
-let crash_feed t =
-  Option.map
-    (fun kc ->
-      let f = Kmonitor.Crash_feed.create t.kernel kc in
-      Kmonitor.Crash_feed.attach f;
-      f)
-    t.kcrash
-
 (* The /proc-style metrics report for this system. *)
 let pp_stats ppf t = Kstats.pp_report ppf (stats t)
 

@@ -67,10 +67,6 @@ val is_enabled : t -> bool
     exists; sites may already be registered). *)
 val set_perf : t -> Kperf.t option -> unit
 
-(** Mirror hook: called with (site name, occurrence) on every fire
-    while armed (the Kmonitor fault feed installs itself here). *)
-val set_sink : t -> (name:string -> occurrence:int -> unit) option -> unit
-
 (** {1 Sites} *)
 
 (** Registering the same name twice returns the same handle (kernels
@@ -109,7 +105,7 @@ val is_armed : t -> bool
 (** [fire t s] is consulted at the fault site: [false] when disarmed
     (one branch, nothing touched), otherwise counts an occurrence and
     evaluates the site's trigger.  On fire it bumps [kfault.fires] and
-    the per-site counter, emits the kperf instant and calls the sink.
+    the per-site counter and emits the kperf instant.
     Never advances the simulated clock. *)
 val fire : t -> site -> bool
 

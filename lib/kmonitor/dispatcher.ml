@@ -15,7 +15,6 @@ type t = {
   st_ring_dropped : Kstats.counter;
   mutable ring_enabled : bool;
   mutable events : int;
-  mutable installed : bool;
 }
 
 let create ?(ring_capacity = 8192) kernel =
@@ -30,7 +29,6 @@ let create ?(ring_capacity = 8192) kernel =
     st_ring_dropped = Kstats.counter kstats "kmonitor.ring_dropped";
     ring_enabled = false;
     events = 0;
-    installed = false;
   }
 
 let ring t = t.ring
@@ -50,18 +48,24 @@ let log_event t (ev : Ksim.Instrument.event) =
     else Kstats.incr t.kstats t.st_ring_dropped
   end
 
+(* The instrumentation point is process-global, so at most one
+   dispatcher holds it: installing another displaces this one. *)
+let installed : t option ref = ref None
+
 (* Wire the dispatcher into the kernel's instrumentation point. *)
 let install t =
+  installed := Some t;
   Ksim.Instrument.log := log_event t;
-  Ksim.Instrument.enabled := true;
-  t.installed <- true
+  Ksim.Instrument.enabled := true
 
+(* A displaced dispatcher's uninstall leaves the live one connected. *)
 let uninstall t =
-  if t.installed then begin
-    Ksim.Instrument.enabled := false;
-    Ksim.Instrument.log := (fun _ -> ());
-    t.installed <- false
-  end
+  match !installed with
+  | Some d when d == t ->
+      installed := None;
+      Ksim.Instrument.enabled := false;
+      Ksim.Instrument.log := (fun _ -> ())
+  | _ -> ()
 
 let register t ~name cb = t.callbacks <- t.callbacks @ [ (name, cb) ]
 

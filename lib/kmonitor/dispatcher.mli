@@ -19,9 +19,12 @@ val ring : t -> Ksim.Instrument.event Ring.t
     pushes to the ring when enabled. *)
 val log_event : t -> Ksim.Instrument.event -> unit
 
-(** Point [Ksim.Instrument.log] at this dispatcher. *)
+(** Point [Ksim.Instrument.log] at this dispatcher, displacing any
+    dispatcher installed before it. *)
 val install : t -> unit
 
+(** Disconnect [Ksim.Instrument.log], if this dispatcher still holds
+    it; a no-op for a displaced or never-installed dispatcher. *)
 val uninstall : t -> unit
 
 (** Register a synchronous in-kernel callback (invoked on every event). *)

@@ -31,16 +31,10 @@ type t = {
 
 exception Bad_rule of string
 
-let kind_of_string = function
-  | "lock" -> Ksim.Instrument.Lock
-  | "unlock" -> Ksim.Instrument.Unlock
-  | "ref-inc" -> Ksim.Instrument.Ref_inc
-  | "ref-dec" -> Ksim.Instrument.Ref_dec
-  | "irq-disable" -> Ksim.Instrument.Irq_disable
-  | "irq-enable" -> Ksim.Instrument.Irq_enable
-  | "sem-down" -> Ksim.Instrument.Sem_down
-  | "sem-up" -> Ksim.Instrument.Sem_up
-  | s -> raise (Bad_rule (Printf.sprintf "unknown event kind %S" s))
+let kind_of_string s =
+  match Ksim.Instrument.kind_of_name s with
+  | Some k -> k
+  | None -> raise (Bad_rule (Printf.sprintf "unknown event kind %S" s))
 
 let split_words s =
   String.split_on_char ' ' s |> List.filter (fun w -> w <> "")

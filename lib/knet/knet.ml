@@ -18,10 +18,6 @@ let ep_in = 1
 let ep_out = 2
 let ep_hup = 4
 
-(* Custom instrument kind for backlog overflow (kstats snapshots use 9). *)
-let backlog_drop_kind = 10
-let () = Instrument.register_custom_name backlog_drop_kind "net-backlog-drop"
-
 (* A byte FIFO over Buffer: append at the tail, consume a prefix. *)
 module Bq = struct
   type t = { buf : Buffer.t; mutable off : int }
@@ -345,7 +341,7 @@ let connect_attempt t ~port ~client =
             | Some ps -> ps.ps_drops <- ps.ps_drops + 1
             | None -> ());
             Instrument.emit ~obj:port ~value:l.l_drops
-              ~kind:(Instrument.Custom backlog_drop_kind) ~file:"knet.ml"
+              ~kind:Instrument.Backlog_drop ~file:"knet.ml"
               ~line:0 ();
             Kperf.instant (Kernel.perf t.kn) ~arg:port ~cat:"net"
               ~name:"backlog_drop" ();

@@ -67,7 +67,6 @@ type t = {
   rings : ring array;
   mutable stacks : frame list array;  (* per-CPU open sync spans, top first *)
   pending_async : (int, string * string) Hashtbl.t;
-  mutable sink : (event -> unit) option;
   mutable next_id : int;
   mutable seq : int;
   mutable drops : int;
@@ -97,7 +96,6 @@ let create ?(enabled = false) ?(mode = Overwrite) ?(ring_capacity = 65536)
           { slots = Array.make ring_capacity None; next = 0; stored = 0 });
     stacks = Array.make ncpus [];
     pending_async = Hashtbl.create 64;
-    sink = None;
     next_id = 1;
     seq = 0;
     drops = 0;
@@ -106,7 +104,6 @@ let create ?(enabled = false) ?(mode = Overwrite) ?(ring_capacity = 65536)
 
 let set_enabled t on = t.enabled <- on
 let is_enabled t = t.enabled
-let set_sink t f = t.sink <- f
 let ncpus t = t.ncpus
 let mode t = t.mode
 let drops t = t.drops
@@ -168,8 +165,7 @@ let emit t ~kind ~id ~parent ~cat ~name ~pid ~arg =
   in
   Kstats.incr t.stats t.st_events;
   t.charge ();
-  store t ev;
-  match t.sink with Some f -> f ev | None -> ()
+  store t ev
 
 let top_of t cpu =
   match t.stacks.(cpu) with [] -> 0 | f :: _ -> f.f_id

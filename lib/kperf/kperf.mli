@@ -59,10 +59,6 @@ val create :
 val set_enabled : t -> bool -> unit
 val is_enabled : t -> bool
 
-(** Mirror hook: called with every emitted event while enabled (the
-    Kmonitor bridge installs itself here). *)
-val set_sink : t -> (event -> unit) option -> unit
-
 val ncpus : t -> int
 val mode : t -> mode
 

@@ -5,6 +5,8 @@
    paper's design: log_event is a single entry point invoked from
    anywhere in the kernel, including interrupt context. *)
 
+(* Every event the kernel reports.  The last five are emitted by the
+   subsystems above ksim (knet, kverify, kcrash) straight into [emit]. *)
 type kind =
   | Lock
   | Unlock
@@ -15,46 +17,36 @@ type kind =
   | Irq_enable
   | Sem_down
   | Sem_up
-  | Custom of int
+  | Backlog_drop   (* knet: listen backlog full, SYN dropped *)
+  | Sfi_violation  (* kverify: syscall-flow transition never recorded *)
+  | Oops           (* kcrash: a process killed and reaped *)
+  | Power_loss     (* kcrash: torn WAL records found at reboot *)
+  | Recovery       (* kcrash: WAL records replayed at reboot *)
 
-let kind_code = function
-  | Lock -> 1
-  | Unlock -> 2
-  | Ref_inc -> 3
-  | Ref_dec -> 4
-  | Irq_disable -> 5
-  | Irq_enable -> 6
-  | Sem_down -> 7
-  | Sem_up -> 8
-  | Contended -> 9
-  | Custom n -> 100 + n
+(* The one name table: [pp_kind] prints from it and kmonitor's rule
+   language parses from it. *)
+let kind_names =
+  [
+    (Lock, "lock");
+    (Unlock, "unlock");
+    (Contended, "contended");
+    (Ref_inc, "ref-inc");
+    (Ref_dec, "ref-dec");
+    (Irq_disable, "irq-disable");
+    (Irq_enable, "irq-enable");
+    (Sem_down, "sem-down");
+    (Sem_up, "sem-up");
+    (Backlog_drop, "net-backlog-drop");
+    (Sfi_violation, "sfi-violation");
+    (Oops, "kcrash-oops");
+    (Power_loss, "kcrash-power-loss");
+    (Recovery, "kcrash-recovery");
+  ]
 
-(* Registration table for [Custom] kinds, so subsystem-defined events
-   (e.g. kstats snapshots) print under a meaningful name instead of
-   "custom-N".  Process-global, like the kind space itself. *)
-let custom_names : (int, string) Hashtbl.t = Hashtbl.create 8
+let kind_of_name s =
+  List.find_map (fun (k, n) -> if n = s then Some k else None) kind_names
 
-let register_custom_name n name = Hashtbl.replace custom_names n name
-let custom_name n = Hashtbl.find_opt custom_names n
-
-let pp_kind ppf k =
-  let s =
-    match k with
-    | Lock -> "lock"
-    | Unlock -> "unlock"
-    | Contended -> "contended"
-    | Ref_inc -> "ref-inc"
-    | Ref_dec -> "ref-dec"
-    | Irq_disable -> "irq-disable"
-    | Irq_enable -> "irq-enable"
-    | Sem_down -> "sem-down"
-    | Sem_up -> "sem-up"
-    | Custom n -> (
-        match custom_name n with
-        | Some name -> name
-        | None -> Printf.sprintf "custom-%d" n)
-  in
-  Fmt.string ppf s
+let pp_kind ppf k = Fmt.string ppf (List.assoc k kind_names)
 
 (* Mirrors the paper's per-event record: an object reference, an event
    type, the source file/line that triggered it, and the process on whose

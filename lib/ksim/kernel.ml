@@ -220,37 +220,30 @@ let charge_user t cycles =
    the wall clock, so this only advances the clock). *)
 let charge_kernel t cycles = Sim_clock.advance t.clock cycles
 
-let copy_from_user t ~uaddr ~len =
-  if t.mode <> Kernel_mode then
-    raise (Kernel_mode_violation "copy_from_user in user mode");
-  Sim_clock.advance t.clock (Cost_model.copy_cost t.config.cost len);
-  t.bytes_copied_user_to_kernel <- t.bytes_copied_user_to_kernel + len;
-  Kstats.add t.kstats t.st_bytes_in len;
-  Address_space.read_bytes t.uspace ~addr:uaddr ~len
-
-let copy_to_user t ~uaddr src =
-  if t.mode <> Kernel_mode then
-    raise (Kernel_mode_violation "copy_to_user in user mode");
-  let len = Bytes.length src in
-  Sim_clock.advance t.clock (Cost_model.copy_cost t.config.cost len);
-  t.bytes_copied_kernel_to_user <- t.bytes_copied_kernel_to_user + len;
-  Kstats.add t.kstats t.st_bytes_out len;
-  Address_space.write_bytes t.uspace ~addr:uaddr src
-
-(* Charge-only copy accounting: used by the syscall layer, whose data
-   path carries host bytes.  The cycle cost and byte counters are the
-   same as for the address-based copies above. *)
+(* Copy accounting, shared by the address-based copies below and the
+   syscall layer, whose data path carries host bytes: the cycle cost,
+   the byte total and the matching kstats counter. *)
 let charge_copy_from_user t len =
   if t.mode <> Kernel_mode then
     raise (Kernel_mode_violation "copy_from_user in user mode");
   Sim_clock.advance t.clock (Cost_model.copy_cost t.config.cost len);
-  t.bytes_copied_user_to_kernel <- t.bytes_copied_user_to_kernel + len
+  t.bytes_copied_user_to_kernel <- t.bytes_copied_user_to_kernel + len;
+  Kstats.add t.kstats t.st_bytes_in len
 
 let charge_copy_to_user t len =
   if t.mode <> Kernel_mode then
     raise (Kernel_mode_violation "copy_to_user in user mode");
   Sim_clock.advance t.clock (Cost_model.copy_cost t.config.cost len);
-  t.bytes_copied_kernel_to_user <- t.bytes_copied_kernel_to_user + len
+  t.bytes_copied_kernel_to_user <- t.bytes_copied_kernel_to_user + len;
+  Kstats.add t.kstats t.st_bytes_out len
+
+let copy_from_user t ~uaddr ~len =
+  charge_copy_from_user t len;
+  Address_space.read_bytes t.uspace ~addr:uaddr ~len
+
+let copy_to_user t ~uaddr src =
+  charge_copy_to_user t (Bytes.length src);
+  Address_space.write_bytes t.uspace ~addr:uaddr src
 
 let crossings t = t.user_kernel_crossings
 let bytes_from_user t = t.bytes_copied_user_to_kernel

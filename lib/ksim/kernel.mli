@@ -117,16 +117,18 @@ val charge_kernel : t -> int -> unit
     the current process's system time, like a process blocked on I/O. *)
 val charge_io : t -> int -> unit
 
-(** Copy [len] bytes out of simulated user memory at [uaddr]; charges the
-    per-byte cost and counts the bytes.
+(** Copy [len] bytes out of simulated user memory at [uaddr]; charges
+    and counts the bytes through {!charge_copy_from_user}.
     @raise Kernel_mode_violation in user mode. *)
 val copy_from_user : t -> uaddr:int -> len:int -> Bytes.t
 
 (** Copy into simulated user memory; charged and counted symmetrically. *)
 val copy_to_user : t -> uaddr:int -> Bytes.t -> unit
 
-(** Charge-only variants for data paths that carry host bytes: same cost
-    and byte accounting, no simulated-memory traffic. *)
+(** Charge-only variants for data paths that carry host bytes: the
+    per-byte cost, the {!bytes_from_user}/{!bytes_to_user} totals and
+    the [kernel.bytes_from_user]/[kernel.bytes_to_user] kstats, with no
+    simulated-memory traffic. *)
 val charge_copy_from_user : t -> int -> unit
 
 val charge_copy_to_user : t -> int -> unit

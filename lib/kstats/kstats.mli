@@ -6,10 +6,8 @@
     registry is disabled, and recording never advances the simulated
     clock, so kstats is cycle-neutral in either state.
 
-    Three export paths sit on top: {!pp_report} renders a /proc-style
-    text table, {!to_json} serializes for the bench artifact, and
-    [Kmonitor.Stats_feed] turns snapshots into [Instrument.Custom]
-    events for user-space consumers. *)
+    Two export paths sit on top: {!pp_report} renders a /proc-style
+    text table and {!to_json} serializes for the bench artifact. *)
 
 (** Kernels created while this is [true] boot with their registry
     enabled (mirrors [Instrument.enabled]'s role for events). *)

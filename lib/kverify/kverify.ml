@@ -5,7 +5,7 @@
    [Usyscall.invoke] choke point) and the static {!Checker} that admits
    compounds and ring batches onto the watchdog-elided fast path.  All
    observability flows through the kernel's existing rails: kstats
-   counters, kperf instants, and an [Instrument.Custom] event kind for
+   counters, kperf instants, and an [Instrument.Sfi_violation] event on
    the kmonitor stream. *)
 
 module Sysno = Ksyscall.Sysno
@@ -23,9 +23,6 @@ type policy =
   | Kill  (** terminate the offending process (default) *)
   | Deny  (** fail the syscall with [EPERM], process survives *)
   | Log   (** record the violation and let the syscall through *)
-
-let sfi_violation_kind = 13
-let () = Ksim.Instrument.register_custom_name sfi_violation_kind "sfi-violation"
 
 type t = {
   kernel : Kernel.t;
@@ -73,7 +70,7 @@ let violation t ~pid ~prev sysno =
     ~cat:"kverify" ~name:"sfi-violation" ();
   Ksim.Instrument.emit ~pid ~obj:(Sysno.to_int sysno)
     ~value:(match prev with Some p -> Sysno.to_int p | None -> -1)
-    ~kind:(Ksim.Instrument.Custom sfi_violation_kind)
+    ~kind:Ksim.Instrument.Sfi_violation
     ~file:__FILE__ ~line:__LINE__ ();
   match t.policy with
   | Kill ->

@@ -14,8 +14,8 @@
 
     Observability: [kverify.checked] / [kverify.violations] /
     [kverify.watchdog_elided] kstats, a kperf instant per violation, and
-    [Instrument.Custom] kind {!sfi_violation_kind} on the kmonitor
-    stream. *)
+    an [Instrument.Sfi_violation] event ([obj] = attempted sysno,
+    [value] = previous sysno or -1) on the kmonitor stream. *)
 
 module Sfi = Sfi
 module Checker = Checker
@@ -30,10 +30,6 @@ type policy =
   | Kill  (** terminate the offending process (default) *)
   | Deny  (** fail the syscall with [EPERM]; the process survives *)
   | Log   (** count + emit the violation, let the syscall through *)
-
-(** [Instrument.Custom] kind carrying SFI violations ([obj] = attempted
-    sysno, [value] = previous sysno or -1). *)
-val sfi_violation_kind : int
 
 type t
 

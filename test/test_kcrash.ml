@@ -214,16 +214,34 @@ let test_kefence_guardians_reaped_with_kcrash () =
 
 let test_crash_feed_mirrors_oops () =
   let t = boot_contained () in
-  let feed =
-    match Core.crash_feed t with
-    | Some f -> f
-    | None -> Alcotest.fail "no crash feed on a crash-configured system"
+  let kc =
+    match Core.kcrash t with Some kc -> kc | None -> Alcotest.fail "no kcrash"
   in
+  let d = Core.enable_monitoring ~ring:false t in
+  let oopses = ref [] in
+  Kmonitor.Dispatcher.register d ~name:"oops" (fun ev ->
+      if ev.Ksim.Instrument.kind = Ksim.Instrument.Oops then
+        oopses := ev :: !oopses);
+  let sys = Core.sys t in
+  ignore (Core.ok (Core.Syscall.sys_open sys ~path:"/held" ~flags:Core.o_create));
   let kernel = Core.kernel t in
+  let victim = (Ksim.Kernel.current kernel).Ksim.Kproc.pid in
   Ksim.Kernel.reap kernel (Ksim.Kernel.current kernel) ~reason:"test";
-  Alcotest.(check int) "oops mirrored" 1 (Kmonitor.Crash_feed.mirrored feed);
-  Alcotest.(check int) "kmonitor counter" 1
-    (find_counter (Core.stats t) "kmonitor.crash_feed.mirrored")
+  Core.disable_monitoring t;
+  let r =
+    match Kcrash.reports kc with [ r ] -> r | _ -> Alcotest.fail "one report"
+  in
+  let reaped =
+    r.Kcrash.o_fds + r.Kcrash.o_kmallocs + r.Kcrash.o_vmallocs
+    + r.Kcrash.o_locks + r.Kcrash.o_ring
+  in
+  Alcotest.(check bool) "the held fd was reaped" true (r.Kcrash.o_fds >= 1);
+  match !oopses with
+  | [ ev ] ->
+      Alcotest.(check int) "dying pid" victim ev.Ksim.Instrument.pid;
+      Alcotest.(check int) "reap total" reaped ev.Ksim.Instrument.value;
+      Alcotest.(check string) "reason" "test" ev.Ksim.Instrument.file
+  | evs -> Alcotest.failf "expected one Oops event, got %d" (List.length evs)
 
 (* --- Front 2: crash-consistent recovery -------------------------------- *)
 

@@ -163,6 +163,24 @@ let test_dispatcher_install () =
   ignore kernel;
   Alcotest.(check int) "only installed window seen" 2 (Kmonitor.Dispatcher.events d)
 
+(* Installing d2 displaces d1; d1's later uninstall must not cut d2 off. *)
+let test_dispatcher_stale_uninstall () =
+  let _, d1 = mk_dispatcher () in
+  let _, d2 = mk_dispatcher () in
+  Kmonitor.Dispatcher.install d1;
+  Kmonitor.Dispatcher.install d2;
+  Kmonitor.Dispatcher.uninstall d1;
+  let l = Ksim.Spinlock.create "x" in
+  Ksim.Spinlock.lock l;
+  Ksim.Spinlock.unlock l;
+  Kmonitor.Dispatcher.uninstall d2;
+  Ksim.Spinlock.lock l;
+  Ksim.Spinlock.unlock l;
+  Alcotest.(check int) "displaced d1 sees nothing" 0
+    (Kmonitor.Dispatcher.events d1);
+  Alcotest.(check int) "d2 stays live until its own uninstall" 2
+    (Kmonitor.Dispatcher.events d2)
+
 let test_dispatcher_charges () =
   let kernel, d = mk_dispatcher () in
   Kmonitor.Dispatcher.enable_ring d;
@@ -257,48 +275,6 @@ let test_libkernevents_drop_stats () =
   Alcotest.(check int) "dropped accessor" 6 (Kmonitor.Libkernevents.dropped lib);
   Alcotest.(check bool) "reads issued" true (s.Kmonitor.Libkernevents.reads >= 1)
 
-(* --- custom event names -------------------------------------------------- *)
-
-let test_custom_event_names () =
-  Ksim.Instrument.register_custom_name 42 "my-subsystem-event";
-  Alcotest.(check string) "registered name" "my-subsystem-event"
-    (Fmt.str "%a" Ksim.Instrument.pp_kind (Ksim.Instrument.Custom 42));
-  Alcotest.(check string) "unregistered fallback" "custom-41"
-    (Fmt.str "%a" Ksim.Instrument.pp_kind (Ksim.Instrument.Custom 41));
-  Alcotest.(check (option string)) "lookup" (Some "my-subsystem-event")
-    (Ksim.Instrument.custom_name 42)
-
-(* --- stats feed ---------------------------------------------------------- *)
-
-let test_stats_feed () =
-  let kernel = Ksim.Kernel.create () in
-  Kstats.set_enabled (Ksim.Kernel.stats kernel) true;
-  let d = Kmonitor.Dispatcher.create kernel in
-  Kmonitor.Dispatcher.enable_ring d;
-  Kmonitor.Dispatcher.install d;
-  let cd = Kmonitor.Chardev.create kernel d in
-  (* one crossing recorded after enabling, so a reading is non-zero *)
-  Ksim.Kernel.enter_kernel kernel;
-  Ksim.Kernel.exit_kernel kernel;
-  let feed = Kmonitor.Stats_feed.create kernel in
-  Kmonitor.Stats_feed.emit feed;
-  Kmonitor.Dispatcher.uninstall d;
-  Alcotest.(check int) "one snapshot" 1 (Kmonitor.Stats_feed.snapshots feed);
-  let events = Kmonitor.Chardev.read cd ~max:1000 in
-  let metrics = List.filter_map Kmonitor.Stats_feed.decode events in
-  (* one reading per registered metric, carrying the metric's name *)
-  Alcotest.(check int) "one event per metric"
-    (List.length (Kstats.names (Ksim.Kernel.stats kernel)))
-    (List.length metrics);
-  Alcotest.(check bool) "snapshot kind named" true
-    (Fmt.str "%a" Ksim.Instrument.pp_kind
-       (Ksim.Instrument.Custom Kmonitor.Stats_feed.snapshot_kind)
-    = "kstats-snapshot");
-  Alcotest.(check bool) "kernel.crossings captured" true
-    (match List.assoc_opt "kernel.crossings" metrics with
-    | Some v -> v >= 1
-    | None -> false)
-
 (* --- monitors ------------------------------------------------------------ *)
 
 let test_refcount_monitor () =
@@ -362,14 +338,14 @@ let test_irq_monitor () =
 let test_net_monitor () =
   let m = Kmonitor.Monitors.net_monitor () in
   let cb = Kmonitor.Monitors.net_callback m in
-  let kind = Ksim.Instrument.Custom Kmonitor.Monitors.net_backlog_drop_kind in
+  let kind = Ksim.Instrument.Backlog_drop in
   (* the event's value carries the listener's running total: replace,
      don't accumulate *)
   cb (ev ~obj:80 ~value:1 ~kind ());
   cb (ev ~obj:80 ~value:2 ~kind ());
   cb (ev ~obj:8080 ~value:1 ~kind ());
-  (* other custom kinds are not ours *)
-  cb (ev ~obj:99 ~value:7 ~kind:(Ksim.Instrument.Custom 11) ());
+  (* other subsystems' kinds are not ours *)
+  cb (ev ~obj:99 ~value:7 ~kind:Ksim.Instrument.Sfi_violation ());
   Alcotest.(check int) "events" 3 m.Kmonitor.Monitors.nm_events;
   (match Kmonitor.Monitors.hottest_listeners m with
   | (port, drops) :: _ ->
@@ -393,10 +369,8 @@ let test_net_monitor () =
   Alcotest.(check (list (pair int int)))
     "monitor names the hot listener" [ (80, 2) ]
     (Kmonitor.Monitors.hottest_listeners std.Kmonitor.Monitors.net);
-  Alcotest.(check bool) "drop kind registered by name" true
-    (Fmt.str "%a" Ksim.Instrument.pp_kind
-       (Ksim.Instrument.Custom Knet.backlog_drop_kind)
-    = "net-backlog-drop")
+  Alcotest.(check string) "drop kind printed by name" "net-backlog-drop"
+    (Fmt.str "%a" Ksim.Instrument.pp_kind kind)
 
 let test_standard_monitors_end_to_end () =
   let kernel = Ksim.Kernel.create () in
@@ -433,7 +407,13 @@ let test_mfilter_parse_and_match () =
   Alcotest.(check bool) "file prefix out" false (m "* @ memfs" e2);
   Alcotest.(check bool) "value<0 catches underflow" true (m "* value<0" e2);
   Alcotest.(check bool) "value<0 passes healthy" false (m "* value<0" e1);
-  Alcotest.(check bool) "combined" true (m "ref-dec @ dcache value<0" e2)
+  Alcotest.(check bool) "combined" true (m "ref-dec @ dcache value<0" e2);
+  (* every printed kind name parses, including the subsystem kinds *)
+  let e3 = ev ~kind:Ksim.Instrument.Contended () in
+  let e4 = ev ~kind:Ksim.Instrument.Backlog_drop () in
+  Alcotest.(check bool) "contended" true (m "contended" e3);
+  Alcotest.(check bool) "net-backlog-drop" true (m "net-backlog-drop" e4);
+  Alcotest.(check bool) "net-backlog-drop out" false (m "net-backlog-drop" e3)
 
 let test_mfilter_bad_rules () =
   let bad rule =
@@ -504,6 +484,8 @@ let () =
           Alcotest.test_case "callbacks" `Quick test_dispatcher_callbacks;
           Alcotest.test_case "ring feed" `Quick test_dispatcher_ring_feed;
           Alcotest.test_case "install" `Quick test_dispatcher_install;
+          Alcotest.test_case "stale uninstall" `Quick
+            test_dispatcher_stale_uninstall;
           Alcotest.test_case "charges" `Quick test_dispatcher_charges;
         ] );
       ( "chardev",
@@ -513,11 +495,6 @@ let () =
           Alcotest.test_case "drain" `Quick test_libkernevents_drain;
           Alcotest.test_case "drop reporting" `Quick test_chardev_reports_drops;
           Alcotest.test_case "drop stats" `Quick test_libkernevents_drop_stats;
-        ] );
-      ( "stats-feed",
-        [
-          Alcotest.test_case "custom names" `Quick test_custom_event_names;
-          Alcotest.test_case "snapshot events" `Quick test_stats_feed;
         ] );
       ( "monitors",
         [

@@ -241,34 +241,6 @@ let test_json_parser () =
   | exception Parse_error _ -> ()
   | _ -> Alcotest.fail "trailing garbage should fail"
 
-(* --- kmonitor bridge ----------------------------------------------------- *)
-
-let test_perf_bridge () =
-  Kperf.default_enabled := true;
-  Fun.protect ~finally:(fun () -> Kperf.default_enabled := false)
-  @@ fun () ->
-  let t = Core.boot_with Core.Config.default in
-  let d = Core.enable_monitoring t in
-  let bridge = Core.perf_feed t in
-  let seen = ref 0 in
-  Kmonitor.Dispatcher.register d ~name:"count" (fun ev ->
-      match ev.Ksim.Instrument.kind with
-      | Ksim.Instrument.Custom k
-        when k = Kmonitor.Perf_bridge.span_begin_kind
-             || k = Kmonitor.Perf_bridge.span_end_kind ->
-          incr seen
-      | _ -> ());
-  let sys = Core.sys t in
-  let fd = Core.ok (Core.Syscall.sys_open sys ~path:"/f" ~flags:Core.o_create) in
-  Core.ok (Core.Syscall.sys_close sys ~fd);
-  Alcotest.(check bool) "spans mirrored into the event stream" true
-    (!seen > 0 && Kmonitor.Perf_bridge.mirrored bridge = !seen);
-  Kmonitor.Perf_bridge.detach bridge;
-  let before = !seen in
-  let fd = Core.ok (Core.Syscall.sys_open sys ~path:"/g" ~flags:Core.o_create) in
-  Core.ok (Core.Syscall.sys_close sys ~fd);
-  Alcotest.(check int) "detach stops the mirror" before !seen
-
 let () =
   Alcotest.run "kperf"
     [
@@ -293,6 +265,5 @@ let () =
         [
           Alcotest.test_case "chrome roundtrip" `Quick test_chrome_roundtrip;
           Alcotest.test_case "json parser" `Quick test_json_parser;
-          Alcotest.test_case "kmonitor bridge" `Quick test_perf_bridge;
         ] );
     ]

@@ -423,10 +423,31 @@ let test_kernel_boundary () =
   Ksim.Kernel.exit_kernel k;
   Alcotest.(check int) "one crossing" 1 (Ksim.Kernel.crossings k);
   Alcotest.(check int) "bytes in" 100 (Ksim.Kernel.bytes_from_user k);
-  try
-    Ksim.Kernel.charge_copy_to_user k 1;
-    Alcotest.fail "copy in user mode"
-  with Ksim.Kernel.Kernel_mode_violation _ -> ()
+  (try
+     Ksim.Kernel.charge_copy_to_user k 1;
+     Alcotest.fail "copy in user mode"
+   with Ksim.Kernel.Kernel_mode_violation _ -> ());
+  (* with kstats on, the charge-only and address-based copies both bump
+     the counters, which agree with the accessors *)
+  let k = Ksim.Kernel.create () in
+  let stats = Ksim.Kernel.stats k in
+  Kstats.set_enabled stats true;
+  let a = Ksim.Kernel.user_alloc k 64 in
+  Ksim.Kernel.enter_kernel k;
+  Ksim.Kernel.charge_copy_from_user k 100;
+  Ksim.Kernel.charge_copy_to_user k 7;
+  ignore (Ksim.Kernel.copy_from_user k ~uaddr:a ~len:16);
+  Ksim.Kernel.copy_to_user k ~uaddr:a (Bytes.make 8 'x');
+  Ksim.Kernel.exit_kernel k;
+  let counter name =
+    match Kstats.find stats name with Some (Kstats.Counter_v v) -> v | _ -> -1
+  in
+  Alcotest.(check int) "all copies in" 116 (Ksim.Kernel.bytes_from_user k);
+  Alcotest.(check int) "all copies out" 15 (Ksim.Kernel.bytes_to_user k);
+  Alcotest.(check int) "kernel.bytes_from_user = accessor"
+    (Ksim.Kernel.bytes_from_user k) (counter "kernel.bytes_from_user");
+  Alcotest.(check int) "kernel.bytes_to_user = accessor"
+    (Ksim.Kernel.bytes_to_user k) (counter "kernel.bytes_to_user")
 
 let test_kernel_times_io_split () =
   let k = Ksim.Kernel.create () in
