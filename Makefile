@@ -1,4 +1,4 @@
-.PHONY: all build test bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke check clean
+.PHONY: all build test sim-identity bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke check clean
 
 all: build
 
@@ -7,6 +7,34 @@ build:
 
 test:
 	dune runtest
+
+# Simulated-number identity against another commit (default HEAD):
+# extract REF with git archive into a temp directory, build it there, run
+# the smoke bench in both trees, and fail if its stdout or any of the
+# four BENCH_*.json files differ.  The simulator is deterministic, so a
+# host-only refactor must pass this byte for byte.
+#   make sim-identity REF=<commit>
+REF ?= HEAD
+BENCH_FILES = BENCH_kstats.json BENCH_kperf.json BENCH_kfault.json BENCH_kcrash.json
+
+sim-identity:
+	@set -e; ref=$$(mktemp -d); trap 'rm -rf "$$ref"' EXIT; \
+	git archive --format=tar $(REF) | tar -x -C "$$ref"; \
+	dune build bench/main.exe; \
+	rm -f $(BENCH_FILES); \
+	./_build/default/bench/main.exe smoke > "$$ref/work.out"; \
+	(cd "$$ref" && dune build --root . bench/main.exe && \
+	  ./_build/default/bench/main.exe smoke > ref.out); \
+	status=0; \
+	if ! cmp -s "$$ref/ref.out" "$$ref/work.out"; then \
+	  echo "sim-identity: smoke stdout differs from $(REF):"; \
+	  diff "$$ref/ref.out" "$$ref/work.out" | head -20; status=1; \
+	fi; \
+	for f in $(BENCH_FILES); do \
+	  cmp -s "$$ref/$$f" "$$f" || { echo "sim-identity: $$f differs from $(REF)"; status=1; }; \
+	done; \
+	if [ $$status = 0 ]; then echo "sim-identity: identical to $(REF)"; fi; \
+	exit $$status
 
 # Every experiment end to end at tiny scale (including E12 ring_batch),
 # plus the BENCH_kstats.json artifact.

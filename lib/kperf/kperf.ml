@@ -42,9 +42,11 @@ type event = {
   ev_seq : int;       (* global emit order, 1-based *)
 }
 
-(* One bounded ring per simulated CPU. *)
+(* One bounded ring per simulated CPU.  Its slots are allocated when it
+   stores its first event, so a tracer that never records costs no
+   memory. *)
 type ring = {
-  slots : event option array;
+  mutable slots : event option array;
   mutable next : int;     (* next write position *)
   mutable stored : int;   (* events currently retained (<= capacity) *)
 }
@@ -93,7 +95,7 @@ let create ?(enabled = false) ?(mode = Overwrite) ?(ring_capacity = 65536)
     st_overwritten = Kstats.counter stats "kperf.ring.overwritten";
     rings =
       Array.init ncpus (fun _ ->
-          { slots = Array.make ring_capacity None; next = 0; stored = 0 });
+          { slots = [||]; next = 0; stored = 0 });
     stacks = Array.make ncpus [];
     pending_async = Hashtbl.create 64;
     next_id = 1;
@@ -113,7 +115,7 @@ let emitted t = t.seq
 let clear t =
   Array.iter
     (fun r ->
-      Array.fill r.slots 0 t.cap None;
+      Array.fill r.slots 0 (Array.length r.slots) None;
       r.next <- 0;
       r.stored <- 0)
     t.rings;
@@ -129,6 +131,7 @@ let clamp_cpu t c = if c >= 0 && c < t.ncpus then c else 0
 (* Store one event in its CPU's ring, honouring the overflow mode. *)
 let store t ev =
   let r = t.rings.(clamp_cpu t ev.ev_cpu) in
+  if Array.length r.slots = 0 then r.slots <- Array.make t.cap None;
   if r.stored < t.cap then begin
     r.slots.(r.next) <- Some ev;
     r.next <- (r.next + 1) mod t.cap;

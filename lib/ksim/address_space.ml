@@ -98,7 +98,12 @@ let dispatch_fault t fault =
   | Kill -> raise (Fault.Fault fault)
   | r -> r
 
-(* Translate one page-aligned access; returns the PTE to use. *)
+(* Stands in for the PTE of an access a fault handler emulated: it has
+   no frame, so the access reads as zero and drops writes. *)
+let emulated = Pte.guardian ()
+
+(* Translate one page-local access; returns the PTE to use.  The lookup
+   raises rather than returning an option, so a hit allocates nothing. *)
 let rec translate t ~addr ~access ~pc =
   let vpn = vpn_of t addr in
   if Tlb.access t.tlb ~vpn then Kstats.incr t.stats t.st_tlb_hits
@@ -106,79 +111,96 @@ let rec translate t ~addr ~access ~pc =
     Kstats.incr t.stats t.st_tlb_misses;
     Sim_clock.advance t.clock t.cost.Cost_model.tlb_miss
   end;
-  match Page_table.lookup t.pt ~vpn with
-  | None -> (
-      let fault = { Fault.addr; access; reason = Fault.Not_present; pc } in
-      match dispatch_fault t fault with
-      | Retry -> translate t ~addr ~access ~pc
-      | Emulated -> None
-      | Kill -> assert false)
-  | Some pte ->
-      if Pte.permits pte access then Some pte
+  match Page_table.find t.pt ~vpn with
+  | pte ->
+      if Pte.permits pte access then pte
       else
         let reason =
           if pte.Pte.guardian then Fault.Guardian else Fault.Protection
         in
-        let fault = { Fault.addr; access; reason; pc } in
-        (match dispatch_fault t fault with
-        | Retry -> translate t ~addr ~access ~pc
-        | Emulated -> None
-        | Kill -> assert false)
+        refault t ~addr ~access ~reason ~pc
+  | exception Not_found -> refault t ~addr ~access ~reason:Fault.Not_present ~pc
+
+and refault t ~addr ~access ~reason ~pc =
+  match dispatch_fault t { Fault.addr; access; reason; pc } with
+  | Retry -> translate t ~addr ~access ~pc
+  | Emulated -> emulated
+  | Kill -> assert false
+
+(* The per-page step every access takes: one mem_access charge, then
+   translation.  Returns the backing frame, or [Bytes.empty] for a
+   frameless PTE (an emulated access, or a guardian PTE a handler chose
+   to tolerate), which reads as zero and discards writes. *)
+let page t ~addr ~access ~pc =
+  Sim_clock.advance t.clock t.cost.Cost_model.mem_access;
+  match (translate t ~addr ~access ~pc).Pte.frame with
+  | Some frame -> Phys_mem.frame t.mem frame
+  | None -> Bytes.empty
 
 (* Iterate an access over page-sized chunks, applying [f frame off len
-   src_off] per chunk.  Charges one mem_access per chunk. *)
+   buf_off] per chunk with a real frame. *)
 let chunked t ~addr ~len ~access ~pc f =
   Segment.check t.segment ~addr ~len ~access ~pc;
-  let rec go addr remaining src_off =
+  if len < 0 then invalid_arg "Address_space: negative length";
+  let rec go addr remaining buf_off =
     if remaining > 0 then begin
       let off = offset_of t addr in
       let chunk = min remaining (t.page_size - off) in
-      Sim_clock.advance t.clock t.cost.Cost_model.mem_access;
-      (match translate t ~addr ~access ~pc with
-      | Some pte -> (
-          match pte.Pte.frame with
-          | Some frame -> f ~frame ~off ~len:chunk ~src_off
-          | None ->
-              (* guardian PTE that a handler chose to tolerate: emulate as
-                 zero-filled / discarded access *)
-              ())
-      | None -> ());
-      go (addr + chunk) (remaining - chunk) (src_off + chunk)
+      let frame = page t ~addr ~access ~pc in
+      if frame != Bytes.empty then f frame off chunk buf_off;
+      go (addr + chunk) (remaining - chunk) (buf_off + chunk)
     end
   in
-  if len < 0 then invalid_arg "Address_space: negative length";
   go addr len 0
 
 let read_bytes ?(pc = "<none>") t ~addr ~len =
   let out = Bytes.make len '\000' in
-  chunked t ~addr ~len ~access:Fault.Read ~pc (fun ~frame ~off ~len ~src_off ->
-      let chunk = Phys_mem.read t.mem ~frame ~off ~len in
-      Bytes.blit chunk 0 out src_off len);
+  chunked t ~addr ~len ~access:Fault.Read ~pc (fun frame off len buf_off ->
+      Bytes.blit frame off out buf_off len);
   out
 
 let write_bytes ?(pc = "<none>") t ~addr src =
-  let len = Bytes.length src in
-  chunked t ~addr ~len ~access:Fault.Write ~pc
-    (fun ~frame ~off ~len ~src_off ->
-      Phys_mem.write t.mem ~frame ~off (Bytes.sub src src_off len))
+  chunked t ~addr ~len:(Bytes.length src) ~access:Fault.Write ~pc
+    (fun frame off len buf_off -> Bytes.blit src buf_off frame off len)
 
 let read_string ?pc t ~addr ~len =
   Bytes.to_string (read_bytes ?pc t ~addr ~len)
 
 let write_string ?pc t ~addr s = write_bytes ?pc t ~addr (Bytes.of_string s)
 
-let read_u8 ?pc t ~addr =
-  Char.code (Bytes.get (read_bytes ?pc t ~addr ~len:1) 0)
+(* Scalar accessors: an access that fits in one page takes the same
+   segment check and per-page step as [chunked], then reads or writes
+   the frame in place, allocating nothing.  A page-straddling word goes
+   through [chunked]. *)
+let in_page t ~addr ~len ~access ~pc =
+  Segment.check t.segment ~addr ~len ~access ~pc;
+  page t ~addr ~access ~pc
 
-let write_u8 ?pc t ~addr v =
-  write_bytes ?pc t ~addr (Bytes.make 1 (Char.chr (v land 0xff)))
+let read_u8 ?(pc = "<none>") t ~addr =
+  let frame = in_page t ~addr ~len:1 ~access:Fault.Read ~pc in
+  if frame == Bytes.empty then 0 else Char.code (Bytes.get frame (offset_of t addr))
+
+let write_u8 ?(pc = "<none>") t ~addr v =
+  let frame = in_page t ~addr ~len:1 ~access:Fault.Write ~pc in
+  if frame != Bytes.empty then
+    Bytes.set frame (offset_of t addr) (Char.unsafe_chr (v land 0xff))
 
 (* 63-bit little-endian integers; enough for mini-C word values. *)
-let read_int ?pc t ~addr =
-  let b = read_bytes ?pc t ~addr ~len:8 in
-  Int64.to_int (Bytes.get_int64_le b 0)
+let read_int ?(pc = "<none>") t ~addr =
+  let off = offset_of t addr in
+  if off + 8 > t.page_size then
+    Int64.to_int (Bytes.get_int64_le (read_bytes ~pc t ~addr ~len:8) 0)
+  else
+    let frame = in_page t ~addr ~len:8 ~access:Fault.Read ~pc in
+    if frame == Bytes.empty then 0 else Int64.to_int (Bytes.get_int64_le frame off)
 
-let write_int ?pc t ~addr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  write_bytes ?pc t ~addr b
+let write_int ?(pc = "<none>") t ~addr v =
+  let off = offset_of t addr in
+  if off + 8 > t.page_size then begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int v);
+    write_bytes ~pc t ~addr b
+  end
+  else
+    let frame = in_page t ~addr ~len:8 ~access:Fault.Write ~pc in
+    if frame != Bytes.empty then Bytes.set_int64_le frame off (Int64.of_int v)

@@ -17,5 +17,10 @@ let unmap t ~vpn =
   Hashtbl.remove t.entries vpn
 
 let lookup t ~vpn = Hashtbl.find_opt t.entries vpn
+
+(* [lookup] for hot paths: raises [Not_found] instead of allocating an
+   option. *)
+let find t ~vpn = Hashtbl.find t.entries vpn
+
 let mapped t = Hashtbl.length t.entries
 let iter f t = Hashtbl.iter (fun vpn pte -> f ~vpn pte) t.entries

@@ -21,8 +21,10 @@ let make ~name ~base ~limit ?(readable = true) ?(writable = true)
 (* The flat kernel segment: everything is reachable. *)
 let flat = make ~name:"kernel-flat" ~base:0 ~limit:max_int ~executable:true ()
 
+(* Written without [addr + len] or [base + limit]: near [max_int] those
+   sums wrap negative and would let an access escape the segment. *)
 let contains t ~addr ~len =
-  len >= 0 && addr >= t.base && addr + len <= t.base + t.limit
+  len >= 0 && addr >= t.base && addr - t.base <= t.limit - len
 
 let permits t (access : Fault.access) =
   match access with

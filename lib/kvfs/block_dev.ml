@@ -57,7 +57,9 @@ let create ?(block_size = 4096) ?(cache_blocks = 150_000)
     block_size;
     cache_blocks;
     policy;
-    cache = Hashtbl.create (2 * cache_blocks);
+    (* starts small and grows: sized to [cache_blocks] up front it put a
+       half-million-bucket array in the major heap on every boot *)
+    cache = Hashtbl.create 256;
     arrival = Queue.create ();
     kstats;
     st_reads = Kstats.counter kstats "blockdev.reads";

@@ -138,7 +138,69 @@ let test_segment () =
      Alcotest.(check bool) "segment violation" true
        (f.Ksim.Fault.reason = Ksim.Fault.Segment_violation));
   (* inside the segment is fine *)
-  ignore (Ksim.Address_space.read_u8 space ~addr:0x1010)
+  ignore (Ksim.Address_space.read_u8 space ~addr:0x1010);
+  (* accesses whose end would overflow past max_int stay outside *)
+  let iso = Ksim.Segment.make ~name:"cosy-isolated" ~base:4096 ~limit:4096 () in
+  Alcotest.(check bool) "8 bytes at max_int - 3" false
+    (Ksim.Segment.contains iso ~addr:(max_int - 3) ~len:8);
+  Alcotest.(check bool) "1 byte at max_int" false
+    (Ksim.Segment.contains iso ~addr:max_int ~len:1);
+  Alcotest.(check bool) "last byte" true
+    (Ksim.Segment.contains iso ~addr:8191 ~len:1)
+
+(* The scalar accessors on a mapped, in-page address: one mem_access
+   charge, one TLB access, and no allocation at all. *)
+let test_scalar_fast_path () =
+  let clock = Ksim.Sim_clock.create () in
+  let stats = Kstats.create ~enabled:true () in
+  let mem = Ksim.Phys_mem.create ~page_size:4096 in
+  let cost = Ksim.Cost_model.default in
+  let space = Ksim.Address_space.create ~stats ~name:"s" ~mem ~clock ~cost () in
+  Ksim.Address_space.map_fresh space ~vpn:3 ~npages:2 ~writable:true;
+  let tlb_accesses () =
+    Ksim.Tlb.hits (Ksim.Address_space.tlb space)
+    + Ksim.Tlb.misses (Ksim.Address_space.tlb space)
+  in
+  let addr = (3 * 4096) + 16 in
+  ignore (Ksim.Address_space.read_u8 space ~addr) (* warm the TLB *);
+  let check name f =
+    let c0 = Ksim.Sim_clock.now clock and a0 = tlb_accesses () in
+    f ();
+    Alcotest.(check int) (name ^ ": one mem_access") cost.Ksim.Cost_model.mem_access
+      (Ksim.Sim_clock.now clock - c0);
+    Alcotest.(check int) (name ^ ": one TLB access") 1 (tlb_accesses () - a0);
+    let words n =
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do f () done;
+      Gc.minor_words () -. w0
+    in
+    Alcotest.(check (float 0.)) (name ^ ": no allocation") (words 0) (words 1000)
+  in
+  check "write_u8" (fun () -> Ksim.Address_space.write_u8 ~pc:"t:1" space ~addr 0x1ab);
+  check "read_u8" (fun () ->
+      ignore (Sys.opaque_identity (Ksim.Address_space.read_u8 ~pc:"t:2" space ~addr)));
+  check "write_int" (fun () -> Ksim.Address_space.write_int space ~addr:(addr + 8) (-7));
+  check "read_int" (fun () ->
+      ignore (Sys.opaque_identity (Ksim.Address_space.read_int space ~addr:(addr + 8))));
+  Alcotest.(check int) "u8 round trip" 0xab (Ksim.Address_space.read_u8 space ~addr);
+  Alcotest.(check int) "int round trip" (-7)
+    (Ksim.Address_space.read_int space ~addr:(addr + 8));
+  (* a word straddling two pages takes one charge and one TLB access
+     per page *)
+  let straddle = (4 * 4096) - 3 in
+  Ksim.Address_space.write_int space ~addr:straddle 0x0102_0304_0506;
+  let c0 = Ksim.Sim_clock.now clock and a0 = tlb_accesses () in
+  Alcotest.(check int) "straddling round trip" 0x0102_0304_0506
+    (Ksim.Address_space.read_int space ~addr:straddle);
+  Alcotest.(check int) "straddle: two mem_access" (2 * cost.Ksim.Cost_model.mem_access)
+    (Ksim.Sim_clock.now clock - c0);
+  Alcotest.(check int) "straddle: two TLB accesses" 2 (tlb_accesses () - a0);
+  (* an emulated guardian page reads as zero and drops writes *)
+  Ksim.Address_space.map_guardian space ~vpn:9;
+  Ksim.Address_space.push_handler space (fun _ -> Ksim.Address_space.Emulated);
+  Ksim.Address_space.write_int space ~addr:(9 * 4096) 5;
+  Alcotest.(check int) "emulated int" 0 (Ksim.Address_space.read_int space ~addr:(9 * 4096));
+  Alcotest.(check int) "emulated u8" 0 (Ksim.Address_space.read_u8 space ~addr:(9 * 4096))
 
 let test_tlb () =
   let tlb = Ksim.Tlb.create ~slots:4 () in
@@ -546,6 +608,7 @@ let () =
           Alcotest.test_case "protection" `Quick test_fault_protection;
           Alcotest.test_case "guardian+handler" `Quick test_fault_guardian_and_handler;
           Alcotest.test_case "segments" `Quick test_segment;
+          Alcotest.test_case "scalar fast path" `Quick test_scalar_fast_path;
           Alcotest.test_case "tlb" `Quick test_tlb;
           QCheck_alcotest.to_alcotest qcheck_address_space;
         ] );
