@@ -10,18 +10,18 @@ test:
 
 # Simulated-number identity against another commit (default HEAD):
 # extract REF with git archive into a temp directory, build it there, run
-# the smoke bench in both trees, and fail if its stdout or any of the
-# four BENCH_*.json files differ.  The simulator is deterministic, so a
-# host-only refactor must pass this byte for byte.
+# the smoke bench in both trees, and fail if its stdout or
+# BENCH_kstats.json differs (printing the first counters that moved).
+# The simulator is deterministic, so a host-only refactor must pass this
+# byte for byte.
 #   make sim-identity REF=<commit>
 REF ?= HEAD
-BENCH_FILES = BENCH_kstats.json BENCH_kperf.json BENCH_kfault.json BENCH_kcrash.json
 
 sim-identity:
 	@set -e; ref=$$(mktemp -d); trap 'rm -rf "$$ref"' EXIT; \
 	git archive --format=tar $(REF) | tar -x -C "$$ref"; \
-	dune build bench/main.exe; \
-	rm -f $(BENCH_FILES); \
+	dune build bench/main.exe bin/kstats_tool.exe; \
+	rm -f BENCH_kstats.json; \
 	./_build/default/bench/main.exe smoke > "$$ref/work.out"; \
 	(cd "$$ref" && dune build --root . bench/main.exe && \
 	  ./_build/default/bench/main.exe smoke > ref.out); \
@@ -30,9 +30,11 @@ sim-identity:
 	  echo "sim-identity: smoke stdout differs from $(REF):"; \
 	  diff "$$ref/ref.out" "$$ref/work.out" | head -20; status=1; \
 	fi; \
-	for f in $(BENCH_FILES); do \
-	  cmp -s "$$ref/$$f" "$$f" || { echo "sim-identity: $$f differs from $(REF)"; status=1; }; \
-	done; \
+	if ! cmp -s "$$ref/BENCH_kstats.json" BENCH_kstats.json; then \
+	  echo "sim-identity: BENCH_kstats.json differs from $(REF):"; \
+	  ./_build/default/bin/kstats_tool.exe diff "$$ref/BENCH_kstats.json" \
+	    BENCH_kstats.json | head -40; status=1; \
+	fi; \
 	if [ $$status = 0 ]; then echo "sim-identity: identical to $(REF)"; fi; \
 	exit $$status
 
@@ -47,7 +49,8 @@ bench-e14:
 	dune exec bench/main.exe -- E14
 
 # Tracing overhead on the C10K webserver at full scale: all four serving
-# variants with the kperf tracer on vs off, plus BENCH_kperf.json.
+# variants with the kperf tracer on vs off (rows under E15 in
+# BENCH_kstats.json).
 bench-e15:
 	dune exec bench/main.exe -- E15
 
@@ -66,13 +69,14 @@ bench-e17:
 
 # The resilience experiment at full scale: the four E14 serving variants
 # under injected wire-drop faults at 1-in-64 / 1-in-16 / 1-in-4, with and
-# without load shedding, plus BENCH_kfault.json.
+# without load shedding (rows under E18 in BENCH_kstats.json).
 bench-e18:
 	dune exec bench/main.exe -- E18
 
 # The crash experiment at full scale: recovery time vs journal length,
 # oops-containment overhead (cycle-identical when quiet), the durable
-# WAL cost, and a sampled crash-point sweep, plus BENCH_kcrash.json.
+# WAL cost, and a sampled crash-point sweep (rows under E19 in
+# BENCH_kstats.json).
 bench-e19:
 	dune exec bench/main.exe -- E19
 
@@ -137,4 +141,4 @@ check: build test bench-smoke kperf-smoke kverify-smoke kopt-smoke kfault-smoke 
 
 clean:
 	dune clean
-	rm -f BENCH_kstats.json BENCH_kperf.json BENCH_kfault.json BENCH_kcrash.json
+	rm -f BENCH_kstats.json

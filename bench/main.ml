@@ -315,10 +315,11 @@ let e5 () =
   (match Core.kefence t2 with
   | Some kf -> pf "  overflows detected       : %d (expected: 0)\n" (Kefence.overflows_detected kf)
   | None -> ());
-  let tlb = Ksim.Address_space.tlb (Ksim.Kernel.kspace (Core.kernel t2)) in
-  let tlb1 = Ksim.Address_space.tlb (Ksim.Kernel.kspace (Core.kernel t1)) in
+  let tlb_misses t =
+    Kstats.counter_value (Kstats.counter (Core.stats t) "tlb.kernel.misses")
+  in
   pf "  kernel TLB misses        : %d (kmalloc) vs %d (kefence)\n"
-    (Ksim.Tlb.misses tlb1) (Ksim.Tlb.misses tlb)
+    (tlb_misses t1) (tlb_misses t2)
 
 (* ----------------------------------------------------------------- E6 *)
 
@@ -987,7 +988,6 @@ let e15 () =
   in
   pf "  %-13s %6s %14s %14s %9s %10s %8s\n" "variant" "conns" "cycles(off)"
     "cycles(on)" "overhead" "events" "drops";
-  let kperf_rows = ref [] in
   let top_tables = ref [] in
   List.iter
     (fun v ->
@@ -1011,7 +1011,6 @@ let e15 () =
            \"events\":%d,\"ring_lost\":%d}"
           name conns off1 off2 on overhead events drops
       in
-      kperf_rows := row :: !kperf_rows;
       add_row "E15" row)
     variants;
   (* the self-profile of the naive variant: where its cycles went *)
@@ -1023,18 +1022,7 @@ let e15 () =
           pf "    %-32s %8d calls %14d self-cy %5.1f%%\n" r.Core.Perf.p_label
             r.Core.Perf.p_count r.Core.Perf.p_self (100. *. r.Core.Perf.p_share))
         rows
-  | None -> ());
-  (* machine-readable tracing-overhead summary *)
-  let oc = open_out "BENCH_kperf.json" in
-  output_string oc "{\"experiment\":\"E15\",\"rows\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then output_string oc ",";
-      output_string oc row)
-    (List.rev !kperf_rows);
-  output_string oc "]}\n";
-  close_out oc;
-  pf "\n  wrote BENCH_kperf.json\n"
+  | None -> ())
 
 (* a Cosy compound shaped like Cosy-GCC's counted loops: getpid in a
    provably bounded loop, the boundary-dominated case §2.3 targets;
@@ -1485,7 +1473,6 @@ let e18 () =
   in
   pf "  %-13s %5s %5s %6s %9s %7s %6s %11s %14s %7s\n" "variant" "nth" "shed"
     "compl" "retrans" "backoff" "shed#" "cycles" "vs clean" "digest";
-  let kfault_rows = ref [] in
   List.iter
     (fun v ->
       let name = Workloads.Webserver.net_variant_name v in
@@ -1535,7 +1522,6 @@ let e18 () =
                     r.Workloads.Webserver.n_served retrans backoff nshed cy
                     clean_cy (pct_over clean_cy cy) dig_eq
                 in
-                kfault_rows := row :: !kfault_rows;
                 add_row "E18" row
               end)
             [ false; true ])
@@ -1550,19 +1536,8 @@ let e18 () =
           name conns clean.Workloads.Webserver.n_completed
           clean.Workloads.Webserver.n_served clean_cy clean_cy
       in
-      kfault_rows := row :: !kfault_rows;
       add_row "E18" row)
-    variants;
-  let oc = open_out "BENCH_kfault.json" in
-  output_string oc "{\"experiment\":\"E18\",\"rows\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then output_string oc ",";
-      output_string oc row)
-    (List.rev !kfault_rows);
-  output_string oc "]}\n";
-  close_out oc;
-  pf "\n  wrote BENCH_kfault.json\n"
+    variants
 
 (* ----------------------------------------------------------------- E19 *)
 
@@ -1575,12 +1550,6 @@ let e19 () =
      across the crash-point sweep, recovery time linear in journal \
      length, and containment machinery under a 2% cycle budget \
      (measured: disarmed it is cycle-identical)";
-  let kcrash_rows = ref [] in
-  let row xid json =
-    kcrash_rows := json :: !kcrash_rows;
-    add_row xid json
-  in
-
   (* --- recovery time vs. journal length: N create+write ops, power
      loss, reboot from the image alone.  The whole history replays on
      mount, so recovery cost should scale linearly with the WAL. *)
@@ -1630,7 +1599,7 @@ let e19 () =
       if fsck_errs > 0 then pf "  !! %d ops: fsck errors after recovery\n" n;
       pf "  %8d %12d %12d %14d %12.1f\n" n scanned replayed recovery_cy
         (float_of_int recovery_cy /. float_of_int (max 1 scanned));
-      row "E19"
+      add_row "E19"
         (Printf.sprintf
            "{\"cell\":\"recovery\",\"ops\":%d,\"wal_records\":%d,\
             \"replayed\":%d,\"recovery_cycles\":%d,\"fsck_errors\":%d}"
@@ -1668,7 +1637,7 @@ let e19 () =
      else "NOT identical");
   if (not identical) || abs_float overhead >= 2.0 then
     pf "  !! containment broke the disarmed-identity / 2%% budget\n";
-  row "E19"
+  add_row "E19"
     (Printf.sprintf
        "{\"cell\":\"containment\",\"plain_cycles\":%d,\
         \"contained_cycles\":%d,\"overhead_pct\":%.4f,\"identical\":%b}"
@@ -1681,7 +1650,7 @@ let e19 () =
   pf "  durable WAL: %d cyc — %+.2f%% over plain\n"
     r_wal.Resilience.r_cycles
     (pct_over r_plain.Resilience.r_cycles r_wal.Resilience.r_cycles);
-  row "E19"
+  add_row "E19"
     (Printf.sprintf
        "{\"cell\":\"wal_cost\",\"plain_cycles\":%d,\"wal_cycles\":%d,\
         \"overhead_pct\":%.4f}"
@@ -1707,24 +1676,13 @@ let e19 () =
     s.Resilience.cs_points consistent recovered s.Resilience.cs_corrupt;
   if s.Resilience.cs_corrupt > 0 then
     pf "  !! corruption survived the journal\n";
-  row "E19"
+  add_row "E19"
     (Printf.sprintf
        "{\"cell\":\"crash_sweep\",\"reachable_points\":%d,\"probed\":%d,\
         \"consistent\":%d,\"recovered\":%d,\"corrupt\":%d}"
        s.Resilience.cs_points
        (List.length s.Resilience.cs_rows)
-       consistent recovered s.Resilience.cs_corrupt);
-
-  let oc = open_out "BENCH_kcrash.json" in
-  output_string oc "{\"experiment\":\"E19\",\"rows\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then output_string oc ",";
-      output_string oc r)
-    (List.rev !kcrash_rows);
-  output_string oc "]}\n";
-  close_out oc;
-  pf "\n  wrote BENCH_kcrash.json\n"
+       consistent recovered s.Resilience.cs_corrupt)
 
 (* ------------------------------------------------- Bechamel microbench *)
 
@@ -1913,9 +1871,9 @@ let () =
     else
       List.filter (fun (id, _) -> List.mem id selected) all_experiments
   in
-  (* every kernel booted by the harness carries an enabled metrics
-     registry; recording is cycle-neutral so reproduced numbers are
-     unchanged (asserted by test_kstats) *)
+  (* every kernel booted by the harness records latency histograms too;
+     recording is cycle-neutral so reproduced numbers are unchanged
+     (asserted by test_kstats) *)
   Kstats.default_enabled := true;
   Core.on_boot := (fun t -> booted := t :: !booted);
   pf "Reproduction of \"Efficient and Safe Execution of User-Level Code in \

@@ -9,7 +9,8 @@
    [diff] compares two BENCH_kstats.json snapshots (as written by the
    bench driver) and prints per-counter deltas for each experiment
    present in both — the quick way to see what a change did to every
-   metric at once. *)
+   metric at once.  Like diff(1), it exits 1 when it reports a
+   difference. *)
 
 open Cmdliner
 
@@ -50,8 +51,8 @@ let run_workload name sys =
         (String.concat ", " workloads)
 
 let main workload fs json =
-  (* flip the boot-time default so every subsystem registers into an
-     enabled registry from the first cycle *)
+  (* flip the boot-time default so the latency histograms record from
+     the first cycle (counters and gauges always do) *)
   Core.Stats.default_enabled := true;
   let t = Core.boot_with { Core.Config.default with fs = fs_of_string fs } in
   run_workload workload (Core.sys t);
@@ -177,14 +178,18 @@ let diff_main old_path new_path =
     (fun (id, new_e) ->
       match List.assoc_opt id olds with
       | Some old_e -> total := !total + diff_exp id old_e new_e
-      | None -> Fmt.pr "%s: only in %s@." id new_path)
+      | None ->
+          Fmt.pr "%s: only in %s@." id new_path;
+          incr total)
     news;
   List.iter
     (fun (id, _) ->
-      if not (List.mem_assoc id news) then
-        Fmt.pr "%s: only in %s@." id old_path)
+      if not (List.mem_assoc id news) then begin
+        Fmt.pr "%s: only in %s@." id old_path;
+        incr total
+      end)
     olds;
-  if !total = 0 then Fmt.pr "no per-counter differences@."
+  if !total = 0 then Fmt.pr "no per-counter differences@." else exit 1
 
 let old_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD.json")

@@ -96,8 +96,9 @@ val kernel : t -> Ksim.Kernel.t
 val sys : t -> Ksyscall.Systable.t
 
 (** The kernel-wide metrics registry (counters, gauges, latency
-    histograms).  Enabled at boot when [!Kstats.default_enabled];
-    toggle later with [Kstats.set_enabled]. *)
+    histograms).  Counters and gauges always count; histograms record
+    when it is enabled: at boot when [!Kstats.default_enabled], or later
+    with [Kstats.set_enabled]. *)
 val stats : t -> Kstats.t
 
 (** The kperf tracer: per-CPU trace rings and causal spans.  Enabled at

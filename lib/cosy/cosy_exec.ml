@@ -257,7 +257,7 @@ let do_call_user t slots fname args =
       raise (Exec_error "no user program loaded into the Cosy extension")
   | Some interp, Some (base, len) ->
       t.user_calls <- t.user_calls + 1;
-      Kstats.incr t.kstats t.st_user_calls;
+      Kstats.incr t.st_user_calls;
       let mode = Cosy_safety.effective_mode t.safety fname in
       Cosy_safety.charge_call_overhead t.safety mode;
       let space = Minic.Interp.space interp in
@@ -287,7 +287,7 @@ let submit t compound =
   let perf = Ksim.Kernel.perf kernel in
   let pid = (Ksim.Kernel.current kernel).Ksim.Kproc.pid in
   t.submits <- t.submits + 1;
-  Kstats.incr t.kstats t.st_submits;
+  Kstats.incr t.st_submits;
   let ops_before = t.ops_executed in
   (* one span per compound; the per-op "cosy:sys.*" spans nest under it *)
   let span = Kperf.span_begin perf ~pid ~cat:"cosy" ~name:"submit" () in
@@ -333,9 +333,9 @@ let submit t compound =
           t.watchdog_elisions <- t.watchdog_elisions + 1;
           let slots, ops_run, backedges = run () in
           t.ops_executed <- t.ops_executed + ops_run;
-          Kstats.add t.kstats t.st_ops ops_run;
+          Kstats.add t.st_ops ops_run;
           t.backedges <- t.backedges + backedges;
-          Kstats.add t.kstats t.st_backedges backedges;
+          Kstats.add t.st_backedges backedges;
           slots
       | None ->
       let ops, slot_count =
@@ -348,7 +348,7 @@ let submit t compound =
       while !running && !pc < Array.length ops do
         let cur = !pc in
         t.ops_executed <- t.ops_executed + 1;
-        Kstats.incr t.kstats t.st_ops;
+        Kstats.incr t.st_ops;
         Ksim.Sim_clock.advance clock per_op_cost;
         (match ops.(cur) with
         | Cosy_op.Set { dst; src } ->
@@ -382,7 +382,7 @@ let submit t compound =
         | Cosy_op.Jmp target ->
             if target <= cur then begin
               t.backedges <- t.backedges + 1;
-              Kstats.incr t.kstats t.st_backedges;
+              Kstats.incr t.st_backedges;
               Ksim.Scheduler.checkpoint (Ksim.Kernel.sched kernel);
               (* verified compounds proved their loops bounded at
                  admission; the preemption checkpoint above still runs *)
@@ -393,7 +393,7 @@ let submit t compound =
             if int_arg slots cond = 0 then begin
               if target <= cur then begin
                 t.backedges <- t.backedges + 1;
-                Kstats.incr t.kstats t.st_backedges;
+                Kstats.incr t.st_backedges;
                 Ksim.Scheduler.checkpoint (Ksim.Kernel.sched kernel);
                 if not verified then Cosy_safety.watchdog_check t.safety
               end;

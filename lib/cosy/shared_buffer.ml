@@ -5,7 +5,6 @@
 
 type t = {
   data : Bytes.t;
-  kstats : Kstats.t;
   st_bytes_read : Kstats.counter;
   st_bytes_written : Kstats.counter;
   st_high_water : Kstats.gauge;
@@ -16,7 +15,6 @@ let create ?(stats = Kstats.create ()) size =
   if size <= 0 then invalid_arg "Shared_buffer.create";
   {
     data = Bytes.make size '\000';
-    kstats = stats;
     st_bytes_read = Kstats.counter stats "cosy.shared.bytes_read";
     st_bytes_written = Kstats.counter stats "cosy.shared.bytes_written";
     st_high_water = Kstats.gauge stats "cosy.shared.high_water";
@@ -35,15 +33,15 @@ let write t ~off data =
   let len = Bytes.length data in
   check t ~off ~len;
   Bytes.blit data 0 t.data off len;
-  Kstats.add t.kstats t.st_bytes_written len;
+  Kstats.add t.st_bytes_written len;
   if off + len > t.high_water then begin
     t.high_water <- off + len;
-    Kstats.set t.kstats t.st_high_water t.high_water
+    Kstats.set t.st_high_water t.high_water
   end
 
 let read t ~off ~len =
   check t ~off ~len;
-  Kstats.add t.kstats t.st_bytes_read len;
+  Kstats.add t.st_bytes_read len;
   Bytes.sub t.data off len
 
 let write_string t ~off s = write t ~off (Bytes.of_string s)

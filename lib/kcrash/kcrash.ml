@@ -157,12 +157,12 @@ let oops t (p : Ksim.Kproc.t) ~reason =
   let locks = reap_locks t pid in
   let ring = List.fold_left (fun n f -> n + f ~pid) 0 t.reapers in
   Ksim.Scheduler.kill (Ksim.Kernel.sched t.kernel) p;
-  Kstats.incr t.kstats c.st_oops;
-  Kstats.add t.kstats c.st_reaped_fds fds;
-  Kstats.add t.kstats c.st_reaped_heap
+  Kstats.incr c.st_oops;
+  Kstats.add c.st_reaped_fds fds;
+  Kstats.add c.st_reaped_heap
     (heap.Ksim.Kalloc.reaped_kmallocs + heap.Ksim.Kalloc.reaped_vmallocs);
-  Kstats.add t.kstats c.st_reaped_locks locks;
-  Kstats.add t.kstats c.st_reaped_ring ring;
+  Kstats.add c.st_reaped_locks locks;
+  Kstats.add c.st_reaped_ring ring;
   let report =
     {
       o_pid = pid;
@@ -199,9 +199,9 @@ let note_recovery t (info : Kvfs.Journalfs.recover_info) =
   let c = counters t in
   let torn = info.Kvfs.Journalfs.rec_torn in
   let replayed = info.Kvfs.Journalfs.rec_replayed in
-  Kstats.incr t.kstats c.st_recoveries;
-  Kstats.add t.kstats c.st_torn torn;
-  Kstats.add t.kstats c.st_replayed replayed;
+  Kstats.incr c.st_recoveries;
+  Kstats.add c.st_torn torn;
+  Kstats.add c.st_replayed replayed;
   Ksim.Instrument.emit ~obj:0 ~value:torn ~kind:Ksim.Instrument.Power_loss
     ~file:__FILE__ ~line:__LINE__ ();
   Ksim.Instrument.emit ~obj:0 ~value:replayed ~kind:Ksim.Instrument.Recovery

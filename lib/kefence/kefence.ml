@@ -64,7 +64,6 @@ type site_state = {
 
 type t = {
   kernel : Ksim.Kernel.t;
-  kstats : Kstats.t;
   st_overflows : Kstats.counter;
   st_guarded : Kstats.counter;
   st_unguarded : Kstats.counter;
@@ -73,13 +72,11 @@ type t = {
   dynamic : dynamic_policy option;
   sites : (string, site_state) Hashtbl.t;
   unguarded : (int, unit) Hashtbl.t;  (* addresses we fell back on *)
-  mutable unguarded_allocs : int;
   (* guardian vpn -> owning buffer (addr, size) *)
   guardians : (int, int * int) Hashtbl.t;
   (* buffer addr -> guardian vpn: the fast-vfree hash table *)
   buffers : (int, int) Hashtbl.t;
   mutable reports : report list;  (* newest first *)
-  mutable overflows_detected : int;
   mutable installed : bool;
 }
 
@@ -94,8 +91,7 @@ let handler t (fault : Ksim.Fault.t) : Ksim.Address_space.resolution =
     match Hashtbl.find_opt t.guardians vpn with
     | None -> Ksim.Address_space.Kill (* not one of ours *)
     | Some (buf_addr, buf_size) ->
-        t.overflows_detected <- t.overflows_detected + 1;
-        Kstats.incr t.kstats t.st_overflows;
+        Kstats.incr t.st_overflows;
         t.reports <-
           {
             fault_addr = fault.Ksim.Fault.addr;
@@ -137,7 +133,6 @@ let create ?(mode = Crash) ?(protect = Overflow) ?dynamic kernel =
   let t =
     {
       kernel;
-      kstats;
       st_overflows = Kstats.counter kstats "kefence.overflows";
       st_guarded = Kstats.counter kstats "kefence.guarded_allocs";
       st_unguarded = Kstats.counter kstats "kefence.unguarded_allocs";
@@ -146,11 +141,9 @@ let create ?(mode = Crash) ?(protect = Overflow) ?dynamic kernel =
       dynamic;
       sites = Hashtbl.create 64;
       unguarded = Hashtbl.create 256;
-      unguarded_allocs = 0;
       guardians = Hashtbl.create 256;
       buffers = Hashtbl.create 256;
       reports = [];
-      overflows_detected = 0;
       installed = false;
     }
   in
@@ -186,14 +179,13 @@ let site_guarded t site =
    unguarded) kmalloc buffer instead. *)
 let alloc ?site t size =
   if not (site_guarded t site) then begin
-    t.unguarded_allocs <- t.unguarded_allocs + 1;
-    Kstats.incr t.kstats t.st_unguarded;
+    Kstats.incr t.st_unguarded;
     let addr = Ksim.Kalloc.kmalloc (Ksim.Kernel.alloc t.kernel) size in
     Hashtbl.replace t.unguarded addr ();
     addr
   end
   else begin
-    Kstats.incr t.kstats t.st_guarded;
+    Kstats.incr t.st_guarded;
     let align_end = t.protect = Overflow in
     let area =
       Ksim.Kalloc.vmalloc (Ksim.Kernel.alloc t.kernel) ~guard:true ~align_end
@@ -246,10 +238,10 @@ let distrust_site t site =
   | None ->
       Hashtbl.replace t.sites site { allocs = 0; overflowed = true }
 
-let unguarded_allocs t = t.unguarded_allocs
+let unguarded_allocs t = Kstats.counter_value t.st_unguarded
 
 let reports t = List.rev t.reports
-let overflows_detected t = t.overflows_detected
+let overflows_detected t = Kstats.counter_value t.st_overflows
 let live_buffers t = Hashtbl.length t.buffers
 
 (* Format the newest reports like the syslog lines the paper describes. *)

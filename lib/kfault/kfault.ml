@@ -132,17 +132,17 @@ let fired t s =
   | None -> ()
   | Some st ->
       (match t.st_fires with
-      | Some c -> Kstats.incr st c
+      | Some c -> Kstats.incr c
       | None ->
           let c = Kstats.counter st "kfault.fires" in
           t.st_fires <- Some c;
-          Kstats.incr st c);
+          Kstats.incr c);
       (match s.s_counter with
-      | Some c -> Kstats.incr st c
+      | Some c -> Kstats.incr c
       | None ->
           let c = Kstats.counter st ("kfault." ^ s.s_name) in
           s.s_counter <- Some c;
-          Kstats.incr st c));
+          Kstats.incr c));
   match t.perf with
   | None -> ()
   | Some p -> Kperf.instant p ~arg:s.s_occ ~cat:"kfault" ~name:s.s_name ()

@@ -9,7 +9,6 @@ type t = {
   kernel : Ksim.Kernel.t;
   mutable callbacks : (string * callback) list;
   ring : Ksim.Instrument.event Ring.t;
-  kstats : Kstats.t;
   st_events : Kstats.counter;
   st_ring_pushed : Kstats.counter;
   st_ring_dropped : Kstats.counter;
@@ -23,7 +22,6 @@ let create ?(ring_capacity = 8192) kernel =
     kernel;
     callbacks = [];
     ring = Ring.create ~name:"dispatcher" ~stats:kstats ring_capacity;
-    kstats;
     st_events = Kstats.counter kstats "kmonitor.events";
     st_ring_pushed = Kstats.counter kstats "kmonitor.ring_pushed";
     st_ring_dropped = Kstats.counter kstats "kmonitor.ring_dropped";
@@ -39,13 +37,13 @@ let log_event t (ev : Ksim.Instrument.event) =
   Ksim.Sim_clock.advance (Ksim.Kernel.clock t.kernel)
     cost.Ksim.Cost_model.event_dispatch;
   t.events <- t.events + 1;
-  Kstats.incr t.kstats t.st_events;
+  Kstats.incr t.st_events;
   List.iter (fun (_, cb) -> cb ev) t.callbacks;
   if t.ring_enabled then begin
     Ksim.Sim_clock.advance (Ksim.Kernel.clock t.kernel)
       cost.Ksim.Cost_model.ring_push;
-    if Ring.push t.ring ev then Kstats.incr t.kstats t.st_ring_pushed
-    else Kstats.incr t.kstats t.st_ring_dropped
+    if Ring.push t.ring ev then Kstats.incr t.st_ring_pushed
+    else Kstats.incr t.st_ring_dropped
   end
 
 (* The instrumentation point is process-global, so at most one

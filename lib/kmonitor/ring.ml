@@ -16,7 +16,7 @@ type 'a t = {
   head : int Atomic.t;          (* next slot to consume *)
   tail : int Atomic.t;          (* next slot to fill *)
   dropped : int Atomic.t;       (* producer-side overflow count *)
-  st_dropped : (Kstats.t * Kstats.counter) option;
+  st_dropped : Kstats.counter option;
 }
 
 let create ?name ?stats capacity =
@@ -27,7 +27,7 @@ let create ?name ?stats capacity =
   let st_dropped =
     match (name, stats) with
     | Some n, Some s ->
-        Some (s, Kstats.counter s (Printf.sprintf "kmonitor.ring.%s.dropped" n))
+        Some (Kstats.counter s (Printf.sprintf "kmonitor.ring.%s.dropped" n))
     | _ -> None
   in
   {
@@ -56,7 +56,7 @@ let push t v =
   if tl - hd >= t.capacity then begin
     Atomic.incr t.dropped;
     (match t.st_dropped with
-    | Some (stats, c) -> Kstats.incr stats c
+    | Some c -> Kstats.incr c
     | None -> ());
     false
   end

@@ -336,7 +336,7 @@ let connect_attempt t ~port ~client =
       | Some (S_listen l) when l.l_backlog > 0 ->
           if Queue.length l.l_queue >= l.l_backlog then begin
             l.l_drops <- l.l_drops + 1;
-            Kstats.incr t.stats t.st_drops;
+            Kstats.incr t.st_drops;
             (match port_state t port with
             | Some ps -> ps.ps_drops <- ps.ps_drops + 1
             | None -> ());
@@ -364,7 +364,7 @@ let connect_attempt t ~port ~client =
             in
             Hashtbl.replace t.socks id (S_conn c);
             Queue.push id l.l_queue;
-            Kstats.incr t.stats t.st_conns;
+            Kstats.incr t.st_conns;
             C_ok (lid, id)
           end
       | _ -> C_refused)
@@ -386,10 +386,10 @@ let inject_connect_result t ~port =
 let deliver_bytes t c s pos len =
   let space = t.rcvbuf - Bq.length c.cn_recv in
   let n = min space len in
-  if n < len then Kstats.incr t.stats t.st_rcvq_full;
+  if n < len then Kstats.incr t.st_rcvq_full;
   if n > 0 then begin
     Bq.push_sub c.cn_recv s pos n;
-    Kstats.add t.stats t.st_bytes_in n
+    Kstats.add t.st_bytes_in n
   end;
   n
 
@@ -414,7 +414,7 @@ let inject_fin t ~sock =
 let backoff_delay t cl =
   let base = 4 * wire t in
   let d = base * (1 lsl min cl.cl_fails 3) in
-  if d > base then Kstats.add t.stats t.st_backoff_cycles (d - base);
+  if d > base then Kstats.add t.st_backoff_cycles (d - base);
   cl.cl_fails <- cl.cl_fails + 1;
   d
 
@@ -434,11 +434,11 @@ let process_event t = function
           [ lid; id ]
       | C_drop lid ->
           (* client backs off and redials *)
-          Kstats.incr t.stats t.st_redials;
+          Kstats.incr t.st_redials;
           push_ev t (now t + backoff_delay t cl) (Ev_connect cl);
           [ lid ]
       | C_refused ->
-          Kstats.incr t.stats t.st_redials;
+          Kstats.incr t.st_redials;
           push_ev t (now t + backoff_delay t cl) (Ev_connect cl);
           [])
   | Ev_deliver cl -> (
@@ -450,7 +450,7 @@ let process_event t = function
                data stays at the head of the tx queue, so pipelined
                frames behind it wait their turn, as TCP's sequence
                numbers would make them *)
-            Kstats.incr t.stats t.st_retransmits;
+            Kstats.incr t.st_retransmits;
             (match port_state t cl.cl_port with
             | Some ps -> ps.ps_retrans <- ps.ps_retrans + 1
             | None -> ());
@@ -478,7 +478,7 @@ let process_event t = function
           let n = Bq.length c.cn_send in
           if n > 0 then begin
             let b = Bq.take c.cn_send n in
-            Kstats.add t.stats t.st_bytes_out n;
+            Kstats.add t.st_bytes_out n;
             match c.cn_client with
             | Some cl when not cl.cl_finished -> client_rx t cl b
             | _ -> ()
@@ -567,7 +567,7 @@ let accept t ~sock =
           (match Hashtbl.find_opt t.socks id with
           | Some (S_conn c) -> c.cn_accepted <- true
           | _ -> ());
-          Kstats.incr t.stats t.st_accepts;
+          Kstats.incr t.st_accepts;
           Kperf.instant (Kernel.perf t.kn) ~arg:id ~cat:"net" ~name:"accept"
             ();
           Ok id
@@ -617,13 +617,13 @@ let append_out t c data =
   let space = t.sndbuf - Bq.length c.cn_send in
   let n = min space len in
   if n = 0 && len > 0 then begin
-    Kstats.incr t.stats t.st_sendq_full;
+    Kstats.incr t.st_sendq_full;
     (* a completely full send queue is its own condition (ENOBUFS),
        distinct from the would-block EAGAIN of an empty recv queue *)
     Error V.ENOBUFS
   end
   else begin
-    if n < len then Kstats.incr t.stats t.st_sendq_full;
+    if n < len then Kstats.incr t.st_sendq_full;
     Bq.push_bytes_sub c.cn_send data 0 n;
     schedule_drain t c;
     Ok n
@@ -650,10 +650,10 @@ let send_kernel t ~sock data =
         t.stage <- Bytes.create cap
       end;
       Bytes.blit data 0 t.stage 0 len;
-      Kstats.set t.stats t.st_stage_hw len;
+      Kstats.set t.st_stage_hw len;
       let r = append_out t c (Bytes.sub t.stage 0 len) in
       (match r with
-      | Ok n -> Kstats.add t.stats t.st_sendfile_bytes n
+      | Ok n -> Kstats.add t.st_sendfile_bytes n
       | Error _ -> ());
       r
 
@@ -743,7 +743,7 @@ let scan t e max =
 
 let epoll_wait t ~ep ~max =
   charge t;
-  Kstats.incr t.stats t.st_epoll_waits;
+  Kstats.incr t.st_epoll_waits;
   match Hashtbl.find_opt t.eps ep with
   | None -> Error V.EBADF
   | Some e ->
@@ -771,7 +771,7 @@ let epoll_wait t ~ep ~max =
           then woken := true
         done;
         p.Kproc.state <- saved;
-        Kstats.incr t.stats t.st_epoll_wakeups;
+        Kstats.incr t.st_epoll_wakeups;
         Ok (scan t e max)
       end
 

@@ -35,12 +35,8 @@ type t = {
   cache_capacity : int;
   cache : (int * string, Plan.t) Hashtbl.t;  (* (pid, digest) -> plan *)
   order : (int * string) Queue.t;            (* FIFO eviction *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable compiles : int;
   mutable fd_resolved : int;
   mutable fd_reused : int;
-  kstats : Kstats.t;
   s_hits : Kstats.counter;
   s_misses : Kstats.counter;
   s_compiles : Kstats.counter;
@@ -61,12 +57,8 @@ let create ?(cache_capacity = 64) kv sys =
     cache_capacity;
     cache = Hashtbl.create 16;
     order = Queue.create ();
-    hits = 0;
-    misses = 0;
-    compiles = 0;
     fd_resolved = 0;
     fd_reused = 0;
-    kstats;
     s_hits = Kstats.counter kstats "kopt.cache.hits";
     s_misses = Kstats.counter kstats "kopt.cache.misses";
     s_compiles = Kstats.counter kstats "kopt.cache.compiles";
@@ -75,9 +67,9 @@ let create ?(cache_capacity = 64) kv sys =
     site_invalidate = Kfault.register (Kernel.fault kernel) "kopt.cache_invalidate";
   }
 
-let hits t = t.hits
-let misses t = t.misses
-let compiles t = t.compiles
+let hits t = Kstats.counter_value t.s_hits
+let misses t = Kstats.counter_value t.s_misses
+let compiles t = Kstats.counter_value t.s_compiles
 let fd_resolved t = t.fd_resolved
 let fd_reused t = t.fd_reused
 let cache_size t = Hashtbl.length t.cache
@@ -98,18 +90,16 @@ let try_plan t ~shared_size compound =
     match probe with
     | Some _ when Kfault.fire t.fault t.site_invalidate ->
         Hashtbl.remove t.cache key;
-        Kstats.incr t.kstats t.s_invalidations;
+        Kstats.incr t.s_invalidations;
         None
     | p -> p
   in
   match probe with
   | Some plan ->
-      t.hits <- t.hits + 1;
-      Kstats.incr t.kstats t.s_hits;
+      Kstats.incr t.s_hits;
       Some plan
   | None -> (
-      t.misses <- t.misses + 1;
-      Kstats.incr t.kstats t.s_misses;
+      Kstats.incr t.s_misses;
       (* admission runs here, with exactly the charges the plain
          verifier path would have paid *)
       match Kverify.compound_verdict t.kv ~shared_size compound with
@@ -124,8 +114,7 @@ let try_plan t ~shared_size compound =
           let ops, slot_count = Cosy.Compound.decode compound in
           let plan = Plan.compile ~shared_size ~loops ops ~slot_count in
           Kperf.span_end perf span;
-          t.compiles <- t.compiles + 1;
-          Kstats.incr t.kstats t.s_compiles;
+          Kstats.incr t.s_compiles;
           if Hashtbl.length t.cache >= t.cache_capacity then
             (match Queue.take_opt t.order with
             | Some old -> Hashtbl.remove t.cache old

@@ -57,7 +57,7 @@ val ring_plan : t -> Ksyscall.Syscall.req list -> Kring.plan option
     tools; {!attach} wires it into submit. *)
 val try_plan : t -> shared_size:int -> Cosy.Compound.t -> Plan.t option
 
-(** {1 Counters} (cache counters mirrored in kstats) *)
+(** {1 Counters} (the cache counters read [kopt.cache.*] kstats) *)
 
 val hits : t -> int
 

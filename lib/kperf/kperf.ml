@@ -61,7 +61,6 @@ type t = {
   now : unit -> int;
   cpu : unit -> int;
   charge : unit -> unit;
-  stats : Kstats.t;
   st_events : Kstats.counter;
   st_spans : Kstats.counter;
   st_drops : Kstats.counter;
@@ -71,12 +70,10 @@ type t = {
   pending_async : (int, string * string) Hashtbl.t;
   mutable next_id : int;
   mutable seq : int;
-  mutable drops : int;
-  mutable overwritten : int;
 }
 
 let create ?(enabled = false) ?(mode = Overwrite) ?(ring_capacity = 65536)
-    ?(ncpus = 1) ?(stats = Kstats.create ~enabled:true ())
+    ?(ncpus = 1) ?(stats = Kstats.create ())
     ?(now = fun () -> 0) ?(cpu = fun () -> 0) ?(charge = fun () -> ()) () =
   if ring_capacity <= 0 then invalid_arg "Kperf.create: ring_capacity";
   if ncpus < 1 then invalid_arg "Kperf.create: ncpus";
@@ -88,7 +85,6 @@ let create ?(enabled = false) ?(mode = Overwrite) ?(ring_capacity = 65536)
     now;
     cpu;
     charge;
-    stats;
     st_events = Kstats.counter stats "kperf.events";
     st_spans = Kstats.counter stats "kperf.spans";
     st_drops = Kstats.counter stats "kperf.ring.drops";
@@ -100,16 +96,14 @@ let create ?(enabled = false) ?(mode = Overwrite) ?(ring_capacity = 65536)
     pending_async = Hashtbl.create 64;
     next_id = 1;
     seq = 0;
-    drops = 0;
-    overwritten = 0;
   }
 
 let set_enabled t on = t.enabled <- on
 let is_enabled t = t.enabled
 let ncpus t = t.ncpus
 let mode t = t.mode
-let drops t = t.drops
-let overwritten t = t.overwritten
+let drops t = Kstats.counter_value t.st_drops
+let overwritten t = Kstats.counter_value t.st_overwritten
 let emitted t = t.seq
 
 let clear t =
@@ -122,9 +116,7 @@ let clear t =
   t.stacks <- Array.make t.ncpus [];
   Hashtbl.reset t.pending_async;
   t.next_id <- 1;
-  t.seq <- 0;
-  t.drops <- 0;
-  t.overwritten <- 0
+  t.seq <- 0
 
 let clamp_cpu t c = if c >= 0 && c < t.ncpus then c else 0
 
@@ -139,14 +131,11 @@ let store t ev =
   end
   else
     match t.mode with
-    | Drop ->
-        t.drops <- t.drops + 1;
-        Kstats.incr t.stats t.st_drops
+    | Drop -> Kstats.incr t.st_drops
     | Overwrite ->
         r.slots.(r.next) <- Some ev;
         r.next <- (r.next + 1) mod t.cap;
-        t.overwritten <- t.overwritten + 1;
-        Kstats.incr t.stats t.st_overwritten
+        Kstats.incr t.st_overwritten
 
 (* Precondition: [t.enabled].  The timestamp is taken before [charge] so
    a span's begin precedes its own emit cost. *)
@@ -166,7 +155,7 @@ let emit t ~kind ~id ~parent ~cat ~name ~pid ~arg =
       ev_seq = t.seq;
     }
   in
-  Kstats.incr t.stats t.st_events;
+  Kstats.incr t.st_events;
   t.charge ();
   store t ev
 
@@ -181,7 +170,7 @@ let span_begin t ?(pid = 0) ?(arg = 0) ~cat ~name () =
   else begin
     let id = t.next_id in
     t.next_id <- id + 1;
-    Kstats.incr t.stats t.st_spans;
+    Kstats.incr t.st_spans;
     let cpu = clamp_cpu t (t.cpu ()) in
     emit t ~kind:Begin ~id ~parent:(top_of t cpu) ~cat ~name ~pid ~arg;
     t.stacks.(cpu) <- { f_id = id; f_cat = cat; f_name = name } :: t.stacks.(cpu);
@@ -241,7 +230,7 @@ let async_begin t ?(pid = 0) ?(arg = 0) ~cat ~name () =
   else begin
     let id = t.next_id in
     t.next_id <- id + 1;
-    Kstats.incr t.stats t.st_spans;
+    Kstats.incr t.st_spans;
     let cpu = clamp_cpu t (t.cpu ()) in
     Hashtbl.replace t.pending_async id (cat, name);
     emit t ~kind:Async_begin ~id ~parent:(top_of t cpu) ~cat ~name ~pid ~arg;

@@ -62,16 +62,18 @@ val is_enabled : t -> bool
 val ncpus : t -> int
 val mode : t -> mode
 
-(** Events rejected in [Drop] mode. *)
+(** Events rejected in [Drop] mode (the [kperf.ring.drops] counter). *)
 val drops : t -> int
 
-(** Events displaced in [Overwrite] mode. *)
+(** Events displaced in [Overwrite] mode (the [kperf.ring.overwritten]
+    counter). *)
 val overwritten : t -> int
 
 (** Total events emitted (including dropped/overwritten ones). *)
 val emitted : t -> int
 
-(** Forget all events and open spans; ids and sequence restart. *)
+(** Forget all events and open spans; ids and sequence restart.  The
+    {!drops} and {!overwritten} counters keep counting. *)
 val clear : t -> unit
 
 (** {1 Emit hooks} — single branch, no-ops returning 0 when disabled. *)

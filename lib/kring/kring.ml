@@ -149,14 +149,14 @@ let cq_bytes_saved t = t.opt_cq_saved
    [enter] (and [reap]) and retry. *)
 let push t req =
   if Queue.length t.sq >= t.sq_entries then begin
-    Kstats.incr t.kstats t.st_sq_full;
+    Kstats.incr t.st_sq_full;
     Error `Sq_full
   end
   else
     let wire = Syscall.encode_req req in
     let len = Bytes.length wire in
     if t.sq_bytes + len > Cosy.Shared_buffer.size t.shared then begin
-      Kstats.incr t.kstats t.st_sq_full;
+      Kstats.incr t.st_sq_full;
       Error `Sq_full
     end
     else begin
@@ -165,7 +165,7 @@ let push t req =
       t.next_seq <- seq + 1;
       Queue.add (seq, t.sq_bytes, len) t.sq;
       t.sq_bytes <- t.sq_bytes + len;
-      Kstats.incr t.kstats t.st_submits;
+      Kstats.incr t.st_submits;
       Ok seq
     end
 
@@ -242,7 +242,7 @@ let enter t =
               ok
           | _ -> false)
     in
-    Kstats.incr t.kstats t.st_enters;
+    Kstats.incr t.st_enters;
     let completed = ref 0 in
     let out_bytes = ref 0 in
     let pos = ref 0 in
@@ -260,7 +260,7 @@ let enter t =
       out_bytes := !out_bytes + Syscall.reply_copy_bytes reply;
       incr completed;
       incr pos;
-      Kstats.incr t.kstats t.st_completions;
+      Kstats.incr t.st_completions;
       (* between ops the preemptive kernel gets its chance, exactly
          like a compound's back-edge *)
       Ksim.Scheduler.checkpoint (Ksim.Kernel.sched kernel)
@@ -270,7 +270,7 @@ let enter t =
        in ring.partial and leaves a kperf instant whose arg names the
        index of the first op that did not complete. *)
     let note_partial () =
-      Kstats.incr t.kstats t.st_partial;
+      Kstats.incr t.st_partial;
       Kperf.instant perf ~pid ~arg:!pos ~cat:"ring" ~name:"partial" ()
     in
     let stop_partial = ref false in
@@ -302,7 +302,7 @@ let enter t =
            (* splice-style pair: one dispatch charge covers both halves *)
            Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.kopt_fused_op;
            t.opt_fused <- t.opt_fused + 1;
-           Kstats.incr t.kstats t.st_opt_fused;
+           Kstats.incr t.st_opt_fused;
            dispatch_one ();
            dispatch_one ()
          end
@@ -330,7 +330,7 @@ let enter t =
               copied *)
            if !out_bytes > 0 then begin
              t.opt_cq_saved <- t.opt_cq_saved + !out_bytes;
-             Kstats.add t.kstats t.st_opt_cq_saved !out_bytes
+             Kstats.add t.st_opt_cq_saved !out_bytes
            end
        | _ ->
            if !out_bytes > 0 then
@@ -356,7 +356,7 @@ let enter t =
         Kperf.span_end perf ~pid ~arg:!completed span;
         raise e);
     Kstats.observe t.kstats t.st_batch !completed;
-    Kstats.add t.kstats t.st_crossings_saved (max 0 (!completed - 1));
+    Kstats.add t.st_crossings_saved (max 0 (!completed - 1));
     Kperf.span_end perf ~pid ~arg:!completed span;
     !completed
   end

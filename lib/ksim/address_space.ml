@@ -17,13 +17,11 @@ type t = {
   tlb : Tlb.t;
   clock : Sim_clock.t;
   cost : Cost_model.t;
-  stats : Kstats.t;
   st_tlb_hits : Kstats.counter;
   st_tlb_misses : Kstats.counter;
   st_faults : Kstats.counter;
   mutable handlers : handler list;   (* consulted innermost-first *)
   mutable segment : Segment.t;       (* active segment for checked access *)
-  mutable faults : int;
 }
 
 let create ?(stats = Kstats.create ()) ~name ~mem ~clock ~cost () =
@@ -35,13 +33,11 @@ let create ?(stats = Kstats.create ()) ~name ~mem ~clock ~cost () =
     tlb = Tlb.create ();
     clock;
     cost;
-    stats;
     st_tlb_hits = Kstats.counter stats (Printf.sprintf "tlb.%s.hits" name);
     st_tlb_misses = Kstats.counter stats (Printf.sprintf "tlb.%s.misses" name);
     st_faults = Kstats.counter stats (Printf.sprintf "fault.%s.count" name);
     handlers = [];
     segment = Segment.flat;
-    faults = 0;
   }
 
 let name t = t.name
@@ -49,7 +45,6 @@ let page_size t = t.page_size
 let page_table t = t.pt
 let phys_mem t = t.mem
 let tlb t = t.tlb
-let fault_count t = t.faults
 
 let vpn_of t addr = addr / t.page_size
 let offset_of t addr = addr mod t.page_size
@@ -84,8 +79,7 @@ let unmap t ~vpn ~npages =
   done
 
 let dispatch_fault t fault =
-  t.faults <- t.faults + 1;
-  Kstats.incr t.stats t.st_faults;
+  Kstats.incr t.st_faults;
   Sim_clock.advance t.clock t.cost.Cost_model.page_fault;
   let rec try_handlers = function
     | [] -> Kill
@@ -106,9 +100,9 @@ let emulated = Pte.guardian ()
    raises rather than returning an option, so a hit allocates nothing. *)
 let rec translate t ~addr ~access ~pc =
   let vpn = vpn_of t addr in
-  if Tlb.access t.tlb ~vpn then Kstats.incr t.stats t.st_tlb_hits
+  if Tlb.access t.tlb ~vpn then Kstats.incr t.st_tlb_hits
   else begin
-    Kstats.incr t.stats t.st_tlb_misses;
+    Kstats.incr t.st_tlb_misses;
     Sim_clock.advance t.clock t.cost.Cost_model.tlb_miss
   end;
   match Page_table.find t.pt ~vpn with

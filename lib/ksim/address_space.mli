@@ -19,8 +19,8 @@ type handler = Fault.t -> resolution
 type t
 
 (** [stats] receives per-space TLB hit/miss and fault counters (named
-    [tlb.<name>.*] / [fault.<name>.count]); defaults to a disabled
-    registry. *)
+    [tlb.<name>.*] / [fault.<name>.count]), the only record of those
+    counts; defaults to a fresh registry. *)
 val create :
   ?stats:Kstats.t ->
   name:string ->
@@ -35,9 +35,6 @@ val page_size : t -> int
 val page_table : t -> Page_table.t
 val phys_mem : t -> Phys_mem.t
 val tlb : t -> Tlb.t
-
-(** Total faults dispatched (including resolved ones). *)
-val fault_count : t -> int
 
 val vpn_of : t -> int -> int
 val offset_of : t -> int -> int

@@ -21,7 +21,6 @@ type t = {
   space : Address_space.t;
   clock : Sim_clock.t;
   cost : Cost_model.t;
-  stats : Kstats.t;
   st_kmallocs : Kstats.counter;
   st_kfrees : Kstats.counter;
   st_vmallocs : Kstats.counter;
@@ -44,10 +43,7 @@ type t = {
   (* who owns fresh allocations; the kernel wires this to the scheduler's
      current pid after boot *)
   mutable pid_source : (unit -> int) option;
-  mutable vm_pages_live : int;
-  mutable vm_pages_high_water : int;
-  mutable vm_bytes_requested : int;
-  mutable vm_allocs : int;
+  mutable vm_bytes_requested : int;   (* vmalloc only, unlike st_alloc_bytes *)
   (* fault injection: the kernel wires the engine right after boot (the
      engine needs the kstats registry that Kernel.create also owns) *)
   mutable fault : (Kfault.t * Kfault.site * Kfault.site) option;
@@ -65,7 +61,6 @@ let create ?(stats = Kstats.create ()) ~space ~clock ~cost () =
     space;
     clock;
     cost;
-    stats;
     st_kmallocs = Kstats.counter stats "kalloc.kmallocs";
     st_kfrees = Kstats.counter stats "kalloc.kfrees";
     st_vmallocs = Kstats.counter stats "kalloc.vmallocs";
@@ -84,10 +79,7 @@ let create ?(stats = Kstats.create ()) ~space ~clock ~cost () =
     vm_areas = Hashtbl.create 512;
     vm_owner = Hashtbl.create 512;
     pid_source = None;
-    vm_pages_live = 0;
-    vm_pages_high_water = 0;
     vm_bytes_requested = 0;
-    vm_allocs = 0;
     fault = None;
   }
 
@@ -111,8 +103,8 @@ let pages_for t size = (size + t.page_size - 1) / t.page_size
 let kmalloc t size =
   if size <= 0 then invalid_arg "kmalloc: size";
   Sim_clock.advance t.clock t.cost.Cost_model.kmalloc_cost;
-  Kstats.incr t.stats t.st_kmallocs;
-  Kstats.add t.stats t.st_alloc_bytes size;
+  Kstats.incr t.st_kmallocs;
+  Kstats.add t.st_alloc_bytes size;
   (match t.fault with
   | Some (kf, km, _) when Kfault.fire kf km ->
       raise (Out_of_memory "kmalloc: injected failure (kfault)")
@@ -138,7 +130,7 @@ let kmalloc t size =
 
 let kfree t addr =
   Sim_clock.advance t.clock t.cost.Cost_model.kfree_cost;
-  Kstats.incr t.stats t.st_kfrees;
+  Kstats.incr t.st_kfrees;
   match Hashtbl.find_opt t.kmalloc_live addr with
   | None -> invalid_arg "kfree: not a live kmalloc address"
   | Some _ ->
@@ -180,14 +172,10 @@ let vmalloc ?(guard = false) ?(align_end = true) t size =
   let area = { addr; size; npages; guardian_vpn; align_end } in
   Hashtbl.replace t.vm_areas addr area;
   note_owner t t.vm_owner addr;
-  t.vm_pages_live <- t.vm_pages_live + npages;
-  if t.vm_pages_live > t.vm_pages_high_water then
-    t.vm_pages_high_water <- t.vm_pages_live;
   t.vm_bytes_requested <- t.vm_bytes_requested + size;
-  t.vm_allocs <- t.vm_allocs + 1;
-  Kstats.incr t.stats t.st_vmallocs;
-  Kstats.add t.stats t.st_alloc_bytes size;
-  Kstats.set t.stats t.st_pages_live t.vm_pages_live;
+  Kstats.incr t.st_vmallocs;
+  Kstats.add t.st_alloc_bytes size;
+  Kstats.gauge_add t.st_pages_live npages;
   area
 
 let find_area t addr =
@@ -216,9 +204,8 @@ let vfree t addr =
       | None -> ());
       Hashtbl.remove t.vm_areas addr;
       Hashtbl.remove t.vm_owner addr;
-      t.vm_pages_live <- t.vm_pages_live - area.npages;
-      Kstats.incr t.stats t.st_vfrees;
-      Kstats.set t.stats t.st_pages_live t.vm_pages_live
+      Kstats.incr t.st_vfrees;
+      Kstats.gauge_add t.st_pages_live (-area.npages)
 
 (* --- crash containment ------------------------------------------------- *)
 
@@ -260,14 +247,15 @@ type stats = {
 }
 
 let stats t =
+  let allocs = Kstats.counter_value t.st_vmallocs in
   {
     live_areas = Hashtbl.length t.vm_areas;
-    pages_live = t.vm_pages_live;
-    pages_high_water = t.vm_pages_high_water;
-    allocs = t.vm_allocs;
+    pages_live = Kstats.gauge_value t.st_pages_live;
+    pages_high_water = Kstats.gauge_max t.st_pages_live;
+    allocs;
     mean_alloc_bytes =
-      (if t.vm_allocs = 0 then 0.
-       else float_of_int t.vm_bytes_requested /. float_of_int t.vm_allocs);
+      (if allocs = 0 then 0.
+       else float_of_int t.vm_bytes_requested /. float_of_int allocs);
   }
 
 let kmalloc_live_count t = Hashtbl.length t.kmalloc_live

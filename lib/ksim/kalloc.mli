@@ -20,8 +20,8 @@ type area = {
 
 type t
 
-(** [stats] receives allocation counters and the live-page gauge;
-    defaults to a disabled registry. *)
+(** [stats] receives allocation counters and the live-page gauge, the
+    only record of those counts; defaults to a fresh registry. *)
 val create :
   ?stats:Kstats.t ->
   space:Address_space.t ->

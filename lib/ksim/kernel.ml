@@ -34,9 +34,6 @@ type t = {
      offender's resources instead of just marking it dead *)
   mutable reaper : (Kproc.t -> reason:string -> unit) option;
   mutable mode : mode;
-  mutable user_kernel_crossings : int;
-  mutable bytes_copied_user_to_kernel : int;
-  mutable bytes_copied_kernel_to_user : int;
   mutable irq_depth : int;
   (* user-space heap: a bump allocator over uspace for workload buffers *)
   mutable user_brk_vpn : int;
@@ -113,9 +110,6 @@ let create ?(config = default_config) () =
         };
       reaper = None;
       mode = User;
-      user_kernel_crossings = 0;
-      bytes_copied_user_to_kernel = 0;
-      bytes_copied_kernel_to_user = 0;
       irq_depth = 0;
       user_brk_vpn = user_heap_base_vpn;
     }
@@ -180,8 +174,7 @@ exception Kernel_mode_violation of string
 let enter_kernel t =
   if t.mode = Kernel_mode then
     raise (Kernel_mode_violation "enter_kernel: already in kernel mode");
-  t.user_kernel_crossings <- t.user_kernel_crossings + 1;
-  Kstats.incr t.kstats t.st_crossings;
+  Kstats.incr t.st_crossings;
   t.mode <- Kernel_mode;
   let p = current t in
   (* the trap itself is system time: record entry before charging it *)
@@ -221,21 +214,19 @@ let charge_user t cycles =
 let charge_kernel t cycles = Sim_clock.advance t.clock cycles
 
 (* Copy accounting, shared by the address-based copies below and the
-   syscall layer, whose data path carries host bytes: the cycle cost,
-   the byte total and the matching kstats counter. *)
+   syscall layer, whose data path carries host bytes: the cycle cost and
+   the byte total in its kstats counter. *)
 let charge_copy_from_user t len =
   if t.mode <> Kernel_mode then
     raise (Kernel_mode_violation "copy_from_user in user mode");
   Sim_clock.advance t.clock (Cost_model.copy_cost t.config.cost len);
-  t.bytes_copied_user_to_kernel <- t.bytes_copied_user_to_kernel + len;
-  Kstats.add t.kstats t.st_bytes_in len
+  Kstats.add t.st_bytes_in len
 
 let charge_copy_to_user t len =
   if t.mode <> Kernel_mode then
     raise (Kernel_mode_violation "copy_to_user in user mode");
   Sim_clock.advance t.clock (Cost_model.copy_cost t.config.cost len);
-  t.bytes_copied_kernel_to_user <- t.bytes_copied_kernel_to_user + len;
-  Kstats.add t.kstats t.st_bytes_out len
+  Kstats.add t.st_bytes_out len
 
 let copy_from_user t ~uaddr ~len =
   charge_copy_from_user t len;
@@ -245,9 +236,9 @@ let copy_to_user t ~uaddr src =
   charge_copy_to_user t (Bytes.length src);
   Address_space.write_bytes t.uspace ~addr:uaddr src
 
-let crossings t = t.user_kernel_crossings
-let bytes_from_user t = t.bytes_copied_user_to_kernel
-let bytes_to_user t = t.bytes_copied_kernel_to_user
+let crossings t = Kstats.counter_value t.st_crossings
+let bytes_from_user t = Kstats.counter_value t.st_bytes_in
+let bytes_to_user t = Kstats.counter_value t.st_bytes_out
 
 (* --- interrupts ------------------------------------------------------- *)
 

@@ -36,9 +36,9 @@ val uspace : t -> Address_space.t
 val alloc : t -> Kalloc.t
 val sched : t -> Scheduler.t
 
-(** The kernel-wide metrics registry.  Created enabled when
-    [Kstats.default_enabled] was set at boot; cycle-neutral either
-    way. *)
+(** The kernel-wide metrics registry.  Its counters and gauges always
+    count; its histograms record when [Kstats.default_enabled] was set
+    at boot.  Cycle-neutral either way. *)
 val stats : t -> Kstats.t
 
 (** The kperf tracer: per-CPU trace rings and causal spans.  Created
@@ -126,14 +126,15 @@ val copy_from_user : t -> uaddr:int -> len:int -> Bytes.t
 val copy_to_user : t -> uaddr:int -> Bytes.t -> unit
 
 (** Charge-only variants for data paths that carry host bytes: the
-    per-byte cost, the {!bytes_from_user}/{!bytes_to_user} totals and
-    the [kernel.bytes_from_user]/[kernel.bytes_to_user] kstats, with no
+    per-byte cost and the [kernel.bytes_from_user]/[kernel.bytes_to_user]
+    kstats behind {!bytes_from_user}/{!bytes_to_user}, with no
     simulated-memory traffic. *)
 val charge_copy_from_user : t -> int -> unit
 
 val charge_copy_to_user : t -> int -> unit
 
-(** Total user/kernel boundary crossings. *)
+(** Total user/kernel boundary crossings (the [kernel.crossings]
+    counter). *)
 val crossings : t -> int
 
 val bytes_from_user : t -> int

@@ -23,7 +23,6 @@
 type t = {
   clock : Sim_clock.t;
   cost : Cost_model.t;
-  stats : Kstats.t;
   st_switches : Kstats.counter;
   st_preemptions : Kstats.counter;
   st_spawns : Kstats.counter;
@@ -35,8 +34,6 @@ type t = {
   mutable active_cpu : int;           (* CPU the serialized sim is executing *)
   mutable chunk_base : int option;    (* global clock at run_on entry *)
   mutable next_pid : int;
-  mutable context_switches : int;
-  mutable preemptions : int;
   mutable perf : Kperf.t option;      (* tracer, wired by Kernel.create *)
 }
 
@@ -45,7 +42,6 @@ let create ?(stats = Kstats.create ()) ?(ncpus = 1) ~clock ~cost () =
   {
     clock;
     cost;
-    stats;
     st_switches = Kstats.counter stats "sched.context_switches";
     st_preemptions = Kstats.counter stats "sched.preemptions";
     st_spawns = Kstats.counter stats "sched.spawns";
@@ -57,8 +53,6 @@ let create ?(stats = Kstats.create ()) ?(ncpus = 1) ~clock ~cost () =
     active_cpu = 0;
     chunk_base = None;
     next_pid = 1;
-    context_switches = 0;
-    preemptions = 0;
     perf = None;
   }
 
@@ -84,7 +78,7 @@ let spawn ?cpu t ~name =
     | None -> pick_cpu t
   in
   let p = Kproc.create ~cpu ~pid:t.next_pid ~name () in
-  Kstats.incr t.stats t.st_spawns;
+  Kstats.incr t.st_spawns;
   t.next_pid <- t.next_pid + 1;
   t.queues.(cpu) <- t.queues.(cpu) @ [ p ];
   if t.currents.(cpu) = None then begin
@@ -117,8 +111,7 @@ let activate t p =
 let context_switch t =
   let cpu = t.active_cpu in
   Sim_clock.advance t.clock t.cost.Cost_model.context_switch;
-  t.context_switches <- t.context_switches + 1;
-  Kstats.incr t.stats t.st_switches;
+  Kstats.incr t.st_switches;
   (* trace the switch, attributed to the outgoing process and parented
      to whatever span the CPU was inside (a ring drain, a lock wait) *)
   (match t.perf with
@@ -152,8 +145,7 @@ let checkpoint t =
   let cpu = t.active_cpu in
   let elapsed = Sim_clock.now t.clock - t.slice_start.(cpu) in
   if elapsed >= t.cost.Cost_model.timeslice then begin
-    t.preemptions <- t.preemptions + 1;
-    Kstats.incr t.stats t.st_preemptions;
+    Kstats.incr t.st_preemptions;
     (match t.currents.(cpu) with
     | Some p -> p.Kproc.kernel_budget_used <- p.Kproc.kernel_budget_used + elapsed
     | None -> ());
@@ -212,5 +204,4 @@ let cpu_time t cpu =
 (* Elapsed time of a parallel run: the busiest CPU's local clock. *)
 let makespan t = Array.fold_left max 0 t.cpu_clock
 
-let context_switches t = t.context_switches
-let preemptions t = t.preemptions
+let preemptions t = Kstats.counter_value t.st_preemptions

@@ -17,8 +17,8 @@
 
 type t
 
-(** [stats] receives context-switch / preemption / spawn counters;
-    defaults to a disabled registry.  [ncpus] defaults to 1 (the
+(** [stats] receives the [sched.*] context-switch / preemption / spawn
+    counters; defaults to a fresh registry.  [ncpus] defaults to 1 (the
     pre-SMP behaviour, bit-for-bit). *)
 val create :
   ?stats:Kstats.t -> ?ncpus:int -> clock:Sim_clock.t -> cost:Cost_model.t ->
@@ -79,6 +79,6 @@ val cpu_time : t -> int -> int
 (** Elapsed time of the parallel run: the busiest CPU's local clock. *)
 val makespan : t -> int
 
-val context_switches : t -> int
+(** Preemptions so far (the [sched.preemptions] counter). *)
 val preemptions : t -> int
 val process_count : t -> int

@@ -61,7 +61,7 @@ and t = {
   name : string;
   ctx : ctx option;
   perf : Kperf.t option;         (* contention-wait spans, if wired *)
-  counters : (Kstats.t * counters) option;
+  counters : counters option;
   mutable locked : bool;
   mutable holder : int;          (* pid, or -1 *)
   mutable holder_cpu : int;      (* CPU of the current holder, or -1 *)
@@ -92,12 +92,11 @@ let create ?ctx ?perf name =
           Kstats.counter c.stats (Printf.sprintf "lock.%s.%s" name suffix)
         in
         Some
-          ( c.stats,
-            {
-              st_acquisitions = counter "acquisitions";
-              st_contended = counter "contended";
-              st_spin = counter "spin_cycles";
-            } )
+          {
+            st_acquisitions = counter "acquisitions";
+            st_contended = counter "contended";
+            st_spin = counter "spin_cycles";
+          }
   in
   let t =
     {
@@ -182,9 +181,9 @@ let lock ?(file = "<unknown>") ?(line = 0) ?(pid = 0) t =
           t.contended <- t.contended + 1;
           t.spin_cycles <- t.spin_cycles + spin;
           (match t.counters with
-          | Some (stats, k) ->
-              Kstats.incr stats k.st_contended;
-              Kstats.add stats k.st_spin spin
+          | Some k ->
+              Kstats.incr k.st_contended;
+              Kstats.add k.st_spin spin
           | None -> ());
           Instrument.emit ~pid ~obj:t.id ~value:spin
             ~kind:Instrument.Contended ~file ~line ();
@@ -216,7 +215,7 @@ let lock ?(file = "<unknown>") ?(line = 0) ?(pid = 0) t =
   t.holder <- pid;
   t.acquisitions <- t.acquisitions + 1;
   (match t.counters with
-  | Some (stats, k) -> Kstats.incr stats k.st_acquisitions
+  | Some k -> Kstats.incr k.st_acquisitions
   | None -> ());
   Instrument.emit ~pid ~obj:t.id ~value:1 ~kind:Instrument.Lock ~file ~line ()
 
@@ -257,7 +256,7 @@ let force_release ?(file = "<unknown>") ?(line = 0) t =
     t.holder <- -1;
     t.holder_cpu <- -1;
     (match t.counters with
-    | Some (stats, k) -> Kstats.incr stats k.st_contended
+    | Some k -> Kstats.incr k.st_contended
     | None -> ());
     Instrument.emit ~pid ~obj:t.id ~value:(-1) ~kind:Instrument.Contended
       ~file ~line ();

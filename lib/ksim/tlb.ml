@@ -2,27 +2,20 @@
    increases TLB contention (the paper cites it as one of the two causes
    of its 1.4% overhead); modelling the TLB lets E5 reproduce that. *)
 
-type t = {
-  slots : int array;             (* slot i holds a vpn, or -1 *)
-  mutable hits : int;
-  mutable misses : int;
-}
+type t = { slots : int array (* slot i holds a vpn, or -1 *) }
 
 let create ?(slots = 64) () =
   if slots <= 0 then invalid_arg "Tlb.create: slots";
-  { slots = Array.make slots (-1); hits = 0; misses = 0 }
+  { slots = Array.make slots (-1) }
 
 let slot_of t vpn = vpn mod Array.length t.slots
 
-(* Returns [true] on hit.  On miss, installs the translation. *)
+(* Returns [true] on hit.  On miss, installs the translation.  The
+   caller counts: Address_space keeps [tlb.<space>.hits/misses]. *)
 let access t ~vpn =
   let s = slot_of t vpn in
-  if t.slots.(s) = vpn then begin
-    t.hits <- t.hits + 1;
-    true
-  end
+  if t.slots.(s) = vpn then true
   else begin
-    t.misses <- t.misses + 1;
     t.slots.(s) <- vpn;
     false
   end
@@ -32,9 +25,3 @@ let invalidate t ~vpn =
   if t.slots.(s) = vpn then t.slots.(s) <- -1
 
 let flush t = Array.fill t.slots 0 (Array.length t.slots) (-1)
-let hits t = t.hits
-let misses t = t.misses
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

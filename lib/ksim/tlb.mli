@@ -2,8 +2,9 @@
 
     Kefence's page-per-allocation policy increases TLB contention — the
     paper names it as one of the two causes of its 1.4% overhead — so the
-    address spaces charge a miss cost through this model (experiment E5
-    reports the miss counts). *)
+    address spaces charge a miss cost through this model and count hits
+    and misses in their [tlb.<space>.*] kstats (experiment E5 reports
+    the miss counts). *)
 
 type t
 
@@ -20,7 +21,3 @@ val invalidate : t -> vpn:int -> unit
 
 (** Drop everything (context switch with address-space change). *)
 val flush : t -> unit
-
-val hits : t -> int
-val misses : t -> int
-val reset_stats : t -> unit

@@ -6,17 +6,18 @@
    gauges and log₂-bucketed histograms; subsystems obtain handles once
    at creation time and update them from their hot paths.
 
-   Recording mirrors [Instrument.enabled]: every mutation is a single
-   branch on [t.enabled] and otherwise touches nothing, so a disabled
-   registry is free and — crucially for the simulator — recording never
-   advances the simulated clock, making kstats cycle-neutral whether on
-   or off (test_kstats asserts this).
+   Counters and gauges always count: they are the only record of each
+   count they hold, so no subsystem keeps a second copy in a field of
+   its own.  [enabled] gates histograms only — an [observe] on a
+   disabled registry is a single branch and touches nothing.  Recording
+   never advances the simulated clock, so kstats is cycle-neutral in
+   either state (test_kstats asserts this).
 
    This library sits below ksim (it depends only on Fmt) so every layer
    of the kernel can use it; timestamps are plain integers supplied by
    the caller (Sim_clock cycles in practice). *)
 
-(* When set, kernels created afterwards boot with their registry
+(* When set, kernels created afterwards boot with their histograms
    enabled.  The bench harness flips this to collect per-experiment
    metrics without touching each experiment. *)
 let default_enabled = ref false
@@ -88,22 +89,18 @@ let histogram t name =
   | Hist h -> h
   | Counter _ | Gauge _ -> raise (Type_clash name)
 
-(* --- hot-path updates (one branch when disabled) ----------------------- *)
+(* --- hot-path updates (histograms: one branch when disabled) ----------- *)
 
-let incr t c = if t.enabled then c.c <- c.c + 1
-let add t c n = if t.enabled then c.c <- c.c + n
+let incr c = c.c <- c.c + 1
+let add c n = c.c <- c.c + n
 
-let set t g v =
-  if t.enabled then begin
-    g.g <- v;
-    if v > g.g_max then g.g_max <- v
-  end
+let set g v =
+  g.g <- v;
+  if v > g.g_max then g.g_max <- v
 
-let gauge_add t g n =
-  if t.enabled then begin
-    g.g <- g.g + n;
-    if g.g > g.g_max then g.g_max <- g.g
-  end
+let gauge_add g n =
+  g.g <- g.g + n;
+  if g.g > g.g_max then g.g_max <- g.g
 
 let bucket_of_value v =
   if v <= 1 then 0

@@ -2,15 +2,18 @@
     log₂-bucketed histograms.
 
     Subsystems obtain handles once ([counter], [gauge], [histogram]) and
-    update them from hot paths; every update is a single branch when the
-    registry is disabled, and recording never advances the simulated
-    clock, so kstats is cycle-neutral in either state.
+    update them from hot paths.  Counters and gauges always count — they
+    are the only record of each count, so no subsystem keeps a shadow
+    copy.  [enabled] gates histograms: while disabled, {!observe} is a
+    single branch and records nothing.  Recording never advances the
+    simulated clock, so kstats is cycle-neutral in either state.
 
     Two export paths sit on top: {!pp_report} renders a /proc-style
     text table and {!to_json} serializes for the bench artifact. *)
 
 (** Kernels created while this is [true] boot with their registry
-    enabled (mirrors [Instrument.enabled]'s role for events). *)
+    enabled, i.e. recording histograms (mirrors [Instrument.enabled]'s
+    role for events). *)
 val default_enabled : bool ref
 
 type t
@@ -19,7 +22,9 @@ type counter
 type gauge
 type hist
 
+(** [enabled] (default [false]) gates histograms only. *)
 val create : ?enabled:bool -> unit -> t
+
 val set_enabled : t -> bool -> unit
 val is_enabled : t -> bool
 
@@ -31,17 +36,19 @@ val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 val histogram : t -> string -> hist
 
-(** {1 Hot-path updates} — no-ops (one branch) when disabled. *)
+(** {1 Hot-path updates} *)
 
-val incr : t -> counter -> unit
-val add : t -> counter -> int -> unit
+val incr : counter -> unit
+val add : counter -> int -> unit
 
 (** [set] stores a level and tracks its peak. *)
-val set : t -> gauge -> int -> unit
+val set : gauge -> int -> unit
 
-val gauge_add : t -> gauge -> int -> unit
+(** [gauge_add] moves a level by a delta and tracks its peak. *)
+val gauge_add : gauge -> int -> unit
 
-(** Record one sample (negative samples clamp to 0). *)
+(** Record one sample (negative samples clamp to 0); a no-op (one
+    branch) while the registry is disabled. *)
 val observe : t -> hist -> int -> unit
 
 (** {1 Reading} *)

@@ -31,11 +31,10 @@ type t = {
   mutable tracer : (trace_record -> unit) option;
   (* the (single) dispatch-admission hook; [None] costs one branch *)
   mutable gate : gate option;
-  counts : (Sysno.t, int) Hashtbl.t;
-  mutable total_syscalls : int;
-  (* kstats handles, lazily registered per syscall *)
-  st_counters : (Sysno.t, Kstats.counter) Hashtbl.t;
-  st_hists : (Sysno.t, Kstats.hist) Hashtbl.t;
+  (* kstats handles, indexed by [Sysno.to_int] and lazily registered on
+     a syscall's first use *)
+  st_counters : Kstats.counter option array;
+  st_hists : Kstats.hist option array;
   st_total : Kstats.counter;
   (* boundary fault sites + the EINTR-restart retry counter *)
   fault : Kfault.t;
@@ -45,6 +44,8 @@ type t = {
   st_eagain_injected : Kstats.counter;
 }
 
+let n_sysnos = List.length Sysno.all
+
 let create ?root_fs ?dcache_shards kernel =
   let vfs = Kvfs.Vfs.create ?root_fs ?dcache_shards kernel in
   {
@@ -53,10 +54,8 @@ let create ?root_fs ?dcache_shards kernel =
     net = Knet.create kernel;
     tracer = None;
     gate = None;
-    counts = Hashtbl.create 64;
-    total_syscalls = 0;
-    st_counters = Hashtbl.create 64;
-    st_hists = Hashtbl.create 64;
+    st_counters = Array.make n_sysnos None;
+    st_hists = Array.make n_sysnos None;
     st_total = Kstats.counter (Ksim.Kernel.stats kernel) "syscall.total";
     fault = Ksim.Kernel.fault kernel;
     site_eintr = Kfault.register (Ksim.Kernel.fault kernel) "syscall.eintr";
@@ -72,11 +71,9 @@ let fault t = t.fault
 let eintr_site t = t.site_eintr
 let eagain_site t = t.site_eagain
 
-let count_eintr_restart t =
-  Kstats.incr (Ksim.Kernel.stats t.kernel) t.st_eintr_restarts
+let count_eintr_restart t = Kstats.incr t.st_eintr_restarts
 
-let count_eagain_injected t =
-  Kstats.incr (Ksim.Kernel.stats t.kernel) t.st_eagain_injected
+let count_eagain_injected t = Kstats.incr t.st_eagain_injected
 
 let vfs t = t.vfs
 let net t = t.net
@@ -88,30 +85,24 @@ let set_gate t g = t.gate <- Some g
 let clear_gate t = t.gate <- None
 let gate t = t.gate
 
-(* Handle caches keep the hot path at one Hashtbl probe after the
-   enabled branch; registration happens on a syscall's first use.  The
-   kstats metric names keep the historical [syscall.<name>.*] strings. *)
-let st_counter t sysno =
-  match Hashtbl.find_opt t.st_counters sysno with
-  | Some c -> c
-  | None ->
-      let c =
-        Kstats.counter (Ksim.Kernel.stats t.kernel)
-          ("syscall." ^ Sysno.to_string sysno ^ ".count")
-      in
-      Hashtbl.replace t.st_counters sysno c;
-      c
-
-let st_hist t sysno =
-  match Hashtbl.find_opt t.st_hists sysno with
+(* Handle caches keep the hot path at one array load; registration
+   happens on a syscall's first use, so the registry lists syscalls in
+   the order they were first made.  The kstats metric names keep the
+   historical [syscall.<name>.*] strings. *)
+let cached tbl register t sysno suffix =
+  let i = Sysno.to_int sysno in
+  match tbl.(i) with
   | Some h -> h
   | None ->
       let h =
-        Kstats.histogram (Ksim.Kernel.stats t.kernel)
-          ("syscall." ^ Sysno.to_string sysno ^ ".latency")
+        register (Ksim.Kernel.stats t.kernel)
+          ("syscall." ^ Sysno.to_string sysno ^ suffix)
       in
-      Hashtbl.replace t.st_hists sysno h;
+      tbl.(i) <- Some h;
       h
+
+let st_counter t sysno = cached t.st_counters Kstats.counter t sysno ".count"
+let st_hist t sysno = cached t.st_hists Kstats.histogram t sysno ".latency"
 
 (* Record one completed syscall's wall latency (cycles from user-stub
    entry to boundary exit) into the per-syscall histogram. *)
@@ -120,14 +111,8 @@ let observe_latency t ~sysno ~cycles =
   if Kstats.is_enabled stats then Kstats.observe stats (st_hist t sysno) cycles
 
 let record t ~sysno ~arg ~bytes_in ~bytes_out ~ok =
-  t.total_syscalls <- t.total_syscalls + 1;
-  Hashtbl.replace t.counts sysno
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts sysno));
-  let stats = Ksim.Kernel.stats t.kernel in
-  if Kstats.is_enabled stats then begin
-    Kstats.incr stats t.st_total;
-    Kstats.incr stats (st_counter t sysno)
-  end;
+  Kstats.incr t.st_total;
+  Kstats.incr (st_counter t sysno);
   match t.tracer with
   | None -> ()
   | Some f ->
@@ -143,9 +128,9 @@ let record t ~sysno ~arg ~bytes_in ~bytes_out ~ok =
           timestamp = Ksim.Kernel.now t.kernel;
         }
 
-let count t sysno = Option.value ~default:0 (Hashtbl.find_opt t.counts sysno)
-let total_syscalls t = t.total_syscalls
+(* Reading never registers: an unused syscall has no counter yet. *)
+let count t sysno =
+  Option.fold ~none:0 ~some:Kstats.counter_value
+    t.st_counters.(Sysno.to_int sysno)
 
-let counts t =
-  Hashtbl.fold (fun sysno n acc -> (sysno, n) :: acc) t.counts []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
+let total_syscalls t = Kstats.counter_value t.st_total

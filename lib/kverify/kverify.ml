@@ -29,14 +29,10 @@ type t = {
   policy : policy;
   mutable automaton : Sfi.t option;
   last : (int, Sysno.t) Hashtbl.t;  (* pid -> last admitted sysno *)
-  (* kstats handles (no-ops when the registry is disabled)... *)
+  (* kstats handles, the only record of the gate's counts *)
   s_checked : Kstats.counter;
   s_violations : Kstats.counter;
   s_elided : Kstats.counter;
-  (* ...and unconditional counts, so accessors work either way *)
-  mutable n_checked : int;
-  mutable n_violations : int;
-  mutable n_elided : int;
 }
 
 let create ?(policy = Kill) kernel =
@@ -49,23 +45,19 @@ let create ?(policy = Kill) kernel =
     s_checked = Kstats.counter stats "kverify.checked";
     s_violations = Kstats.counter stats "kverify.violations";
     s_elided = Kstats.counter stats "kverify.watchdog_elided";
-    n_checked = 0;
-    n_violations = 0;
-    n_elided = 0;
   }
 
 let policy t = t.policy
 let automaton t = t.automaton
 let set_automaton t a = t.automaton <- a
-let checked t = t.n_checked
-let violations t = t.n_violations
-let watchdog_elided t = t.n_elided
+let checked t = Kstats.counter_value t.s_checked
+let violations t = Kstats.counter_value t.s_violations
+let watchdog_elided t = Kstats.counter_value t.s_elided
 
 (* --- the SFI gate ------------------------------------------------------- *)
 
 let violation t ~pid ~prev sysno =
-  t.n_violations <- t.n_violations + 1;
-  Kstats.incr (Kernel.stats t.kernel) t.s_violations;
+  Kstats.incr t.s_violations;
   Kperf.instant (Kernel.perf t.kernel) ~pid ~arg:(Sysno.to_int sysno)
     ~cat:"kverify" ~name:"sfi-violation" ();
   Ksim.Instrument.emit ~pid ~obj:(Sysno.to_int sysno)
@@ -94,8 +86,7 @@ let gate t : Systable.gate =
   | Some a ->
       Ksim.Sim_clock.advance (Kernel.clock t.kernel)
         (Kernel.cost t.kernel).Ksim.Cost_model.sfi_check;
-      t.n_checked <- t.n_checked + 1;
-      Kstats.incr (Kernel.stats t.kernel) t.s_checked;
+      Kstats.incr t.s_checked;
       let prev = Hashtbl.find_opt t.last pid in
       if Sfi.permits a ~prev sysno then begin
         Hashtbl.replace t.last pid sysno;
@@ -111,8 +102,7 @@ let uninstall _t sys = Systable.clear_gate sys
 let admitted t ~ops =
   Ksim.Sim_clock.advance (Kernel.clock t.kernel)
     (ops * (Kernel.cost t.kernel).Ksim.Cost_model.verify_admit_op);
-  t.n_elided <- t.n_elided + 1;
-  Kstats.incr (Kernel.stats t.kernel) t.s_elided
+  Kstats.incr t.s_elided
 
 (* One admission pass costs [verify_admit_op] per op — charged whether or
    not the program verifies (the checker read every op either way).  The

@@ -74,7 +74,7 @@ val compound_verifier : t -> shared_size:int -> Cosy.Compound.t -> bool
 val compound_verdict :
   t -> shared_size:int -> Cosy.Compound.t -> Checker.verdict
 
-(** {1 Counters} (mirrored in kstats when the registry is enabled) *)
+(** {1 Counters} (read from the [kverify.*] kstats counters) *)
 
 val checked : t -> int
 

@@ -23,7 +23,6 @@ type t = {
   policy : policy;
   cache : (int, bool ref) Hashtbl.t;  (* resident -> reference bit *)
   arrival : int Queue.t;              (* clock hand order *)
-  kstats : Kstats.t;
   st_reads : Kstats.counter;
   st_writes : Kstats.counter;
   st_cache_hits : Kstats.counter;
@@ -61,7 +60,6 @@ let create ?(block_size = 4096) ?(cache_blocks = 150_000)
        half-million-bucket array in the major heap on every boot *)
     cache = Hashtbl.create 256;
     arrival = Queue.create ();
-    kstats;
     st_reads = Kstats.counter kstats "blockdev.reads";
     st_writes = Kstats.counter kstats "blockdev.writes";
     st_cache_hits = Kstats.counter kstats "blockdev.cache_hits";
@@ -107,7 +105,7 @@ let evict_one t =
             end
             else begin
               Hashtbl.remove t.cache candidate;
-              Kstats.incr t.kstats t.st_evictions
+              Kstats.incr t.st_evictions
             end)
   in
   hand ()
@@ -122,13 +120,13 @@ let touch t blk =
 
 (* Read one block: free on cache hit, seek+transfer on miss. *)
 let read_block t blk =
-  Kstats.incr t.kstats t.st_reads;
+  Kstats.incr t.st_reads;
   match Hashtbl.find_opt t.cache blk with
   | Some refbit ->
       refbit := true;
-      Kstats.incr t.kstats t.st_cache_hits
+      Kstats.incr t.st_cache_hits
   | None ->
-      Kstats.incr t.kstats t.st_cache_misses;
+      Kstats.incr t.st_cache_misses;
       let cost = Ksim.Kernel.cost t.kernel in
       let perf = Ksim.Kernel.perf t.kernel in
       let span =
@@ -139,7 +137,7 @@ let read_block t blk =
          block costs an extra partial transfer but no error escapes *)
       if Kfault.fire t.fault t.site_short then begin
         charge t (cost.Ksim.Cost_model.disk_read_block / 2);
-        Kstats.incr t.kstats t.st_rereads;
+        Kstats.incr t.st_rereads;
         Kperf.instant perf ~arg:blk ~cat:"retry" ~name:"blockdev.reread" ()
       end;
       (* injected hard failure: the driver's retries are exhausted *)
@@ -155,7 +153,7 @@ let read_block t blk =
 (* Write one block: write-back model — the block enters the cache and a
    fraction of the transfer cost is charged to model the flusher. *)
 let write_block t blk =
-  Kstats.incr t.kstats t.st_writes;
+  Kstats.incr t.st_writes;
   let cost = Ksim.Kernel.cost t.kernel in
   let perf = Ksim.Kernel.perf t.kernel in
   let span =

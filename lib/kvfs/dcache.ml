@@ -21,14 +21,13 @@ type shard = {
 
 type t = {
   shards : shard array;
-  kstats : Kstats.t;
   perf : Kperf.t option;
   st_hits : Kstats.counter;
   st_misses : Kstats.counter;
   st_invalidations : Kstats.counter;
 }
 
-let create ?(stats = Kstats.create ~enabled:true ()) ?ctx ?perf ?(shards = 1)
+let create ?(stats = Kstats.create ()) ?ctx ?perf ?(shards = 1)
     () =
   if shards < 1 then invalid_arg "Dcache.create: shards";
   let mk_shard _ =
@@ -42,7 +41,6 @@ let create ?(stats = Kstats.create ~enabled:true ()) ?ctx ?perf ?(shards = 1)
   in
   {
     shards = Array.init shards mk_shard;
-    kstats = stats;
     perf;
     st_hits = Kstats.counter stats "dcache.hits";
     st_misses = Kstats.counter stats "dcache.misses";
@@ -59,9 +57,9 @@ let shard_of t ~dir ~name =
   else t.shards.(Hashtbl.hash (dir, name) mod n)
 
 let record_result t found =
-  if found then Kstats.incr t.kstats t.st_hits
+  if found then Kstats.incr t.st_hits
   else begin
-    Kstats.incr t.kstats t.st_misses;
+    Kstats.incr t.st_misses;
     (* misses are the interesting rarity in a flamegraph: each one means
        a directory scan follows *)
     match t.perf with
@@ -110,7 +108,7 @@ let insert ?pid t ~dir ~name ~ino =
 let invalidate ?pid t ~dir ~name =
   let s = shard_of t ~dir ~name in
   write_shard ?pid s (fun () ->
-      Kstats.incr t.kstats t.st_invalidations;
+      Kstats.incr t.st_invalidations;
       Hashtbl.remove s.entries (dir, name))
 
 let clear ?pid t =

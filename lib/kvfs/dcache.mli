@@ -15,7 +15,7 @@ type t
 
 (** [create ?stats ?ctx ?shards ()] builds an empty cache.  The cache
     registers [dcache.hits]/[dcache.misses]/[dcache.invalidations]
-    counters in [stats] (default: a fresh enabled registry).  [ctx]
+    counters in [stats] (default: a fresh registry).  [ctx]
     makes the shard locks contention-aware (see {!Ksim.Spinlock.ctx});
     [perf] additionally traces each miss as a kperf instant and each
     contended shard-lock wait as a span.  [shards] defaults to 1, the

@@ -100,8 +100,9 @@ let power_loss_marker = "POWER_LOSS"
 
 let run_with ?(plans = []) ?(config = default_run_config) () =
   let t = Core.boot_with config in
-  (* kstats registries boot disabled; the report and the retry.*
-     counters are part of the run's observable record, so turn them on *)
+  (* kstats registries boot with histograms off; the report (latency
+     histograms included) is part of the run's observable record, so
+     turn them on *)
   Kstats.set_enabled (Core.stats t) true;
   let sys = Core.sys t in
   let kernel = Core.kernel t in

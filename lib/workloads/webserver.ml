@@ -424,7 +424,7 @@ let net_queue_response t cs idx =
     t.nshed_budget <- t.nshed_budget - 1;
     t.nshed <- t.nshed + 1;
     (match t.nshed_counter with
-    | Some c -> Kstats.incr (Ksim.Kernel.stats (Ksyscall.Systable.kernel sys)) c
+    | Some c -> Kstats.incr c
     | None -> ());
     cs.nc_pending <- cs.nc_pending @ [ Pbytes (net_header 0) ];
     t.nserved <- t.nserved + 1

@@ -158,8 +158,8 @@ let test_scalar_fast_path () =
   let space = Ksim.Address_space.create ~stats ~name:"s" ~mem ~clock ~cost () in
   Ksim.Address_space.map_fresh space ~vpn:3 ~npages:2 ~writable:true;
   let tlb_accesses () =
-    Ksim.Tlb.hits (Ksim.Address_space.tlb space)
-    + Ksim.Tlb.misses (Ksim.Address_space.tlb space)
+    Kstats.counter_value (Kstats.counter stats "tlb.s.hits")
+    + Kstats.counter_value (Kstats.counter stats "tlb.s.misses")
   in
   let addr = (3 * 4096) + 16 in
   ignore (Ksim.Address_space.read_u8 space ~addr) (* warm the TLB *);
@@ -207,9 +207,7 @@ let test_tlb () =
   Alcotest.(check bool) "first access misses" false (Ksim.Tlb.access tlb ~vpn:1);
   Alcotest.(check bool) "second hits" true (Ksim.Tlb.access tlb ~vpn:1);
   Alcotest.(check bool) "conflict evicts" false (Ksim.Tlb.access tlb ~vpn:5);
-  Alcotest.(check bool) "original evicted" false (Ksim.Tlb.access tlb ~vpn:1);
-  Alcotest.(check int) "hits" 1 (Ksim.Tlb.hits tlb);
-  Alcotest.(check int) "misses" 3 (Ksim.Tlb.misses tlb)
+  Alcotest.(check bool) "original evicted" false (Ksim.Tlb.access tlb ~vpn:1)
 
 (* --- allocators --------------------------------------------------------- *)
 
@@ -489,11 +487,10 @@ let test_kernel_boundary () =
      Ksim.Kernel.charge_copy_to_user k 1;
      Alcotest.fail "copy in user mode"
    with Ksim.Kernel.Kernel_mode_violation _ -> ());
-  (* with kstats on, the charge-only and address-based copies both bump
-     the counters, which agree with the accessors *)
+  (* on a default registry, the charge-only and address-based copies
+     both bump the counters, which agree with the accessors *)
   let k = Ksim.Kernel.create () in
   let stats = Ksim.Kernel.stats k in
-  Kstats.set_enabled stats true;
   let a = Ksim.Kernel.user_alloc k 64 in
   Ksim.Kernel.enter_kernel k;
   Ksim.Kernel.charge_copy_from_user k 100;
@@ -509,7 +506,11 @@ let test_kernel_boundary () =
   Alcotest.(check int) "kernel.bytes_from_user = accessor"
     (Ksim.Kernel.bytes_from_user k) (counter "kernel.bytes_from_user");
   Alcotest.(check int) "kernel.bytes_to_user = accessor"
-    (Ksim.Kernel.bytes_to_user k) (counter "kernel.bytes_to_user")
+    (Ksim.Kernel.bytes_to_user k) (counter "kernel.bytes_to_user");
+  Alcotest.(check int) "kernel.crossings = accessor"
+    (Ksim.Kernel.crossings k) (counter "kernel.crossings");
+  Alcotest.(check int) "one crossing on a default registry" 1
+    (counter "kernel.crossings")
 
 let test_kernel_times_io_split () =
   let k = Ksim.Kernel.create () in

@@ -1,5 +1,6 @@
 (* Tests for the kernel-wide metrics registry: log₂ bucket geometry,
-   percentiles, merging, registration semantics, the disabled hot path,
+   percentiles, merging, registration semantics, what a disabled
+   registry still records,
    and — the property everything else leans on — cycle neutrality:
    enabling kstats must not change a single simulated cycle. *)
 
@@ -60,11 +61,11 @@ let test_merge () =
   let ca = Kstats.counter a "c" and cb = Kstats.counter b "c" in
   let ga = Kstats.gauge a "g" and gb = Kstats.gauge b "g" in
   let ha = Kstats.histogram a "h" and hb = Kstats.histogram b "h" in
-  Kstats.add a ca 10;
-  Kstats.add b cb 32;
-  Kstats.set a ga 5;
-  Kstats.set a ga 2;   (* peak 5, level 2 *)
-  Kstats.set b gb 3;
+  Kstats.add ca 10;
+  Kstats.add cb 32;
+  Kstats.set ga 5;
+  Kstats.set ga 2;   (* peak 5, level 2 *)
+  Kstats.set gb 3;
   Kstats.observe a ha 10;
   Kstats.observe b hb 1000;
   let m = Kstats.merge_hist ha hb in
@@ -94,31 +95,41 @@ let test_registration () =
   let t = Kstats.create ~enabled:true () in
   let c1 = Kstats.counter t "x" in
   let c2 = Kstats.counter t "x" in
-  Kstats.incr t c1;
-  Kstats.incr t c2;
+  Kstats.incr c1;
+  Kstats.incr c2;
   Alcotest.(check int) "same handle" 2 (Kstats.counter_value c1);
   Alcotest.check_raises "type clash" (Kstats.Type_clash "x") (fun () ->
       ignore (Kstats.gauge t "x"));
   Alcotest.(check (list string)) "registration order" [ "x" ] (Kstats.names t)
 
+(* Counters and gauges always count; [enabled] gates histograms only. *)
 let test_disabled_noop () =
   let t = Kstats.create () in
   Alcotest.(check bool) "disabled by default" false (Kstats.is_enabled t);
   let c = Kstats.counter t "c" in
+  let g = Kstats.gauge t "g" in
   let h = Kstats.histogram t "h" in
-  Kstats.incr t c;
+  Kstats.incr c;
+  Kstats.add c 2;
+  Kstats.set g 7;
+  Kstats.gauge_add g (-3);
   Kstats.observe t h 99;
-  Alcotest.(check int) "counter untouched" 0 (Kstats.counter_value c);
+  Alcotest.(check int) "counter records while disabled" 3
+    (Kstats.counter_value c);
+  Alcotest.(check (pair int int)) "gauge records while disabled" (4, 7)
+    (Kstats.gauge_value g, Kstats.gauge_max g);
   Alcotest.(check int) "hist untouched" 0 (Kstats.hist_count h);
   Kstats.set_enabled t true;
-  Kstats.incr t c;
-  Alcotest.(check int) "records once enabled" 1 (Kstats.counter_value c)
+  Kstats.incr c;
+  Kstats.observe t h 99;
+  Alcotest.(check int) "counter keeps counting" 4 (Kstats.counter_value c);
+  Alcotest.(check int) "hist records once enabled" 1 (Kstats.hist_count h)
 
 let test_json () =
   let t = Kstats.create ~enabled:true () in
   let c = Kstats.counter t "a.count" in
   let h = Kstats.histogram t "a.lat" in
-  Kstats.add t c 3;
+  Kstats.add c 3;
   Kstats.observe t h 7;
   let j = Kstats.to_json t in
   Alcotest.(check bool) "object" true

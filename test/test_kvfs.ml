@@ -4,11 +4,7 @@
 let zero_config =
   { Ksim.Kernel.default_config with cost = Ksim.Cost_model.zero }
 
-(* Enable the registry: Dcache/Block_dev stats are derived from kstats. *)
-let mk_kernel () =
-  let kernel = Ksim.Kernel.create ~config:zero_config () in
-  Kstats.set_enabled (Ksim.Kernel.stats kernel) true;
-  kernel
+let mk_kernel () = Ksim.Kernel.create ~config:zero_config ()
 
 let errno = Alcotest.testable Kvfs.Vtypes.pp_errno ( = )
 
@@ -84,7 +80,6 @@ let test_memfs_readdir_order () =
 
 let test_block_dev_cache () =
   let kernel = Ksim.Kernel.create () in
-  Kstats.set_enabled (Ksim.Kernel.stats kernel) true;
   let dev = Kvfs.Block_dev.create ~cache_blocks:8 kernel in
   let t0 = Ksim.Kernel.now kernel in
   Kvfs.Block_dev.read_block dev 5;
