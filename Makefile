@@ -1,4 +1,4 @@
-.PHONY: all build test sim-identity bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke check clean
+.PHONY: all build test sim-identity bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke examples check clean
 
 all: build
 
@@ -127,6 +127,13 @@ kcrash-smoke:
 	dune exec bin/kcrash_tool.exe -- sweep --max-per-site 2
 	dune exec bin/kcrash_tool.exe -- crash-at 100
 
+# Run every example end to end.  kring_batch, knet_c10k and kverify_sfi
+# assert their end-to-end claims and exit non-zero when one fails.
+examples: build
+	@for e in _build/default/examples/*.exe; do \
+	  echo "examples: $$e"; $$e > /dev/null || exit 1; \
+	done
+
 # One short run of each benchmark workload (perfbench/, declared in
 # BENCHMARK.json).  perfbench exits non-zero when an output differs from
 # its reference or the determinism fingerprint drifts between repeats.
@@ -137,7 +144,7 @@ perfbench-smoke:
 	    --seconds 1 --trace 0 || exit 1; \
 	done
 
-check: build test bench-smoke kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke
+check: build test examples bench-smoke kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke
 
 clean:
 	dune clean

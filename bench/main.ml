@@ -722,7 +722,7 @@ let e12 () =
     let (), tm =
       Ksim.Kernel.timed k (fun () ->
           List.iter
-            (fun r -> ignore (Core.Syscall.dispatch (Core.sys t_sync) r))
+            (fun r -> ignore (Core.Syscall.invoke ~origin:Plain (Core.sys t_sync) r))
             (mk_reqs ()))
     in
     (tm, Ksim.Kernel.crossings k - c0)
@@ -977,7 +977,7 @@ let e15 () =
   in
   let conns = sc 10_000 in
   let run_cell v ~trace =
-    let t = Core.boot_with { Core.Config.default with trace = Some trace } in
+    let t = Core.boot_with { Core.Config.default with trace } in
     let sys = Core.sys t in
     let config =
       { Workloads.Webserver.net_default_config with variant = v; conns }
@@ -1218,7 +1218,7 @@ let e17 () =
   let loop_cell ?(detach = false) cfg =
     let t = Core.boot_with cfg in
     let cx = Core.cosy t in
-    if detach then Cosy.Cosy_exec.set_optimizer cx None;
+    if detach then Cosy.Cosy_exec.set_admission cx None;
     let compound = getpid_compound iters in
     let slots, tm =
       Ksim.Kernel.timed (Core.kernel t) (fun () ->
@@ -1618,7 +1618,7 @@ let e19 () =
     {
       plain_cfg with
       Core.Config.crash =
-        Some { Core.Crash.contain = true; durable = false };
+        Some { Core.Crash.durable = false };
     }
   in
   let r_plain, _ = Resilience.run_with ~config:plain_cfg () in

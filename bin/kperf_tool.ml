@@ -14,42 +14,6 @@
 
 open Cmdliner
 
-let workloads = [ "interactive"; "postmark"; "amutils"; "lsdir"; "webserver" ]
-
-let fs_of_string = function
-  | "memfs" -> Core.Memfs
-  | "wrapfs" -> Core.Wrapfs_kmalloc
-  | "journalfs" -> Core.Journalfs
-  | other -> Fmt.failwith "unknown fs %s (expected memfs, wrapfs, journalfs)" other
-
-let run_workload name sys =
-  match name with
-  | "interactive" ->
-      Workloads.Interactive.setup sys;
-      ignore
-        (Workloads.Interactive.run
-           ~config:
-             { Workloads.Interactive.default_config with duration_events = 500 }
-           sys)
-  | "postmark" ->
-      let cfg =
-        { Workloads.Postmark.default_config with files = 100; transactions = 400 }
-      in
-      ignore (Workloads.Postmark.run ~config:cfg sys)
-  | "amutils" ->
-      let cfg = { Workloads.Amutils.default_config with source_files = 60 } in
-      Workloads.Amutils.setup ~config:cfg sys;
-      ignore (Workloads.Amutils.run ~config:cfg sys)
-  | "lsdir" ->
-      Workloads.Lsdir.setup sys ~dir:"/d" ~n:200;
-      ignore (Workloads.Lsdir.run_plain sys ~dir:"/d")
-  | "webserver" ->
-      Workloads.Webserver.setup sys;
-      ignore (Workloads.Webserver.run_plain sys)
-  | other ->
-      Fmt.failwith "unknown workload %s (expected one of %s)" other
-        (String.concat ", " workloads)
-
 let write_out out data =
   match out with
   | None -> print_string data
@@ -62,8 +26,16 @@ let write_out out data =
 (* --- record ----------------------------------------------------------- *)
 
 let record workload fs ncpus format out n =
-  let t = Core.boot_with { Core.Config.default with ncpus = Some ncpus; trace = Some true; fs = fs_of_string fs } in
-  run_workload workload (Core.sys t);
+  let t =
+    Core.boot_with
+      {
+        Core.Config.default with
+        ncpus = Some ncpus;
+        trace = true;
+        fs = Named_workload.fs_of_string fs;
+      }
+  in
+  ignore (Named_workload.run workload (Core.sys t));
   let perf = Core.perf t in
   (match format with
   | "chrome" -> write_out out (Core.Perf.chrome_json perf)
@@ -80,15 +52,8 @@ let record workload fs ncpus format out n =
 
 (* --- fold / top from a recorded file ---------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 let events_of_file path =
-  try Core.Perf.events_of_chrome (read_file path)
+  try Core.Perf.events_of_chrome (Named_workload.read_file path)
   with Core.Perf.Json.Parse_error msg ->
     Fmt.failwith "%s: not a kperf chrome trace: %s" path msg
 
@@ -100,7 +65,7 @@ let top_cmd_run path n =
 (* --- cmdliner wiring --------------------------------------------------- *)
 
 let workload_arg =
-  let doc = "Workload to trace: " ^ String.concat ", " workloads in
+  let doc = "Workload to trace: " ^ String.concat ", " Named_workload.names in
   Arg.(value & opt string "postmark" & info [ "w"; "workload" ] ~doc)
 
 let fs_arg =

@@ -14,54 +14,21 @@
 
 open Cmdliner
 
-let workloads = [ "interactive"; "postmark"; "amutils"; "lsdir"; "webserver" ]
-
-let fs_of_string = function
-  | "memfs" -> Core.Memfs
-  | "wrapfs" -> Core.Wrapfs_kmalloc
-  | "journalfs" -> Core.Journalfs
-  | other -> Fmt.failwith "unknown fs %s (expected memfs, wrapfs, journalfs)" other
-
-let run_workload name sys =
-  match name with
-  | "interactive" ->
-      Workloads.Interactive.setup sys;
-      ignore
-        (Workloads.Interactive.run
-           ~config:
-             { Workloads.Interactive.default_config with duration_events = 500 }
-           sys)
-  | "postmark" ->
-      let cfg =
-        { Workloads.Postmark.default_config with files = 100; transactions = 400 }
-      in
-      ignore (Workloads.Postmark.run ~config:cfg sys)
-  | "amutils" ->
-      let cfg = { Workloads.Amutils.default_config with source_files = 60 } in
-      Workloads.Amutils.setup ~config:cfg sys;
-      ignore (Workloads.Amutils.run ~config:cfg sys)
-  | "lsdir" ->
-      Workloads.Lsdir.setup sys ~dir:"/d" ~n:200;
-      ignore (Workloads.Lsdir.run_plain sys ~dir:"/d")
-  | "webserver" ->
-      Workloads.Webserver.setup sys;
-      ignore (Workloads.Webserver.run_plain sys)
-  | other ->
-      Fmt.failwith "unknown workload %s (expected one of %s)" other
-        (String.concat ", " workloads)
-
 let main workload fs json =
   (* flip the boot-time default so the latency histograms record from
      the first cycle (counters and gauges always do) *)
   Core.Stats.default_enabled := true;
-  let t = Core.boot_with { Core.Config.default with fs = fs_of_string fs } in
-  run_workload workload (Core.sys t);
+  let t =
+    Core.boot_with
+      { Core.Config.default with fs = Named_workload.fs_of_string fs }
+  in
+  ignore (Named_workload.run workload (Core.sys t));
   let stats = Core.stats t in
   if json then print_string (Core.Stats.to_json stats)
   else Fmt.pr "%a@." Core.Stats.pp_report stats
 
 let workload_arg =
-  let doc = "Workload to run: " ^ String.concat ", " workloads in
+  let doc = "Workload to run: " ^ String.concat ", " Named_workload.names in
   Arg.(value & opt string "postmark" & info [ "w"; "workload" ] ~doc)
 
 let fs_arg =
@@ -83,15 +50,8 @@ let run_cmd =
 
 module Json = Kperf.Json
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 let parse_bench path =
-  match Json.parse (read_file path) with
+  match Json.parse (Named_workload.read_file path) with
   | exception Json.Parse_error msg ->
       Fmt.failwith "%s: parse error: %s" path msg
   | j -> (

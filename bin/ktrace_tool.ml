@@ -6,41 +6,11 @@
 
 open Cmdliner
 
-let workloads = [ "interactive"; "postmark"; "amutils"; "lsdir"; "webserver" ]
-
-let run_workload name sys t =
-  match name with
-  | "interactive" ->
-      Workloads.Interactive.setup sys;
-      let s =
-        Workloads.Interactive.run
-          ~config:{ Workloads.Interactive.default_config with duration_events = 500 }
-          sys
-      in
-      s.Workloads.Interactive.duration_cycles
-  | "postmark" ->
-      let cfg = { Workloads.Postmark.default_config with files = 100; transactions = 400 } in
-      (Workloads.Postmark.run ~config:cfg sys).Workloads.Postmark.times.Ksim.Kernel.elapsed
-  | "amutils" ->
-      let cfg = { Workloads.Amutils.default_config with source_files = 60 } in
-      Workloads.Amutils.setup ~config:cfg sys;
-      (Workloads.Amutils.run ~config:cfg sys).Workloads.Amutils.times.Ksim.Kernel.elapsed
-  | "lsdir" ->
-      Workloads.Lsdir.setup sys ~dir:"/d" ~n:200;
-      (Workloads.Lsdir.run_plain sys ~dir:"/d").Workloads.Lsdir.times.Ksim.Kernel.elapsed
-  | "webserver" ->
-      Workloads.Webserver.setup sys;
-      (Workloads.Webserver.run_plain sys).Workloads.Webserver.times.Ksim.Kernel.elapsed
-  | other ->
-      ignore t;
-      Fmt.failwith "unknown workload %s (expected one of %s)" other
-        (String.concat ", " workloads)
-
 let main workload top =
   let t = Core.boot_with Core.Config.default in
   let sys = Core.sys t in
   let recorder = Core.trace t in
-  let duration = run_workload workload sys t in
+  let duration = Named_workload.run workload sys in
   Printf.printf "traced %d syscalls over %.3f simulated seconds\n"
     (Ktrace.Recorder.count recorder)
     (Ksim.Sim_clock.cycles_to_seconds duration);
@@ -67,7 +37,7 @@ let main workload top =
        (Ktrace.Savings.estimate ~trace_duration_cycles:duration recorder))
 
 let workload_arg =
-  let doc = "Workload to trace: " ^ String.concat ", " workloads in
+  let doc = "Workload to trace: " ^ String.concat ", " Named_workload.names in
   Arg.(value & opt string "interactive" & info [ "w"; "workload" ] ~doc)
 
 let top_arg =

@@ -21,49 +21,12 @@
 
 open Cmdliner
 
-let workloads = [ "interactive"; "postmark"; "amutils"; "lsdir"; "webserver" ]
-
-let run_workload name sys =
-  match name with
-  | "interactive" ->
-      Workloads.Interactive.setup sys;
-      ignore
-        (Workloads.Interactive.run
-           ~config:
-             { Workloads.Interactive.default_config with duration_events = 500 }
-           sys)
-  | "postmark" ->
-      let cfg =
-        { Workloads.Postmark.default_config with files = 100; transactions = 400 }
-      in
-      ignore (Workloads.Postmark.run ~config:cfg sys)
-  | "amutils" ->
-      let cfg = { Workloads.Amutils.default_config with source_files = 60 } in
-      Workloads.Amutils.setup ~config:cfg sys;
-      ignore (Workloads.Amutils.run ~config:cfg sys)
-  | "lsdir" ->
-      Workloads.Lsdir.setup sys ~dir:"/d" ~n:200;
-      ignore (Workloads.Lsdir.run_plain sys ~dir:"/d")
-  | "webserver" ->
-      Workloads.Webserver.setup sys;
-      ignore (Workloads.Webserver.run_plain sys)
-  | other ->
-      Fmt.failwith "unknown workload %s (expected one of %s)" other
-        (String.concat ", " workloads)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 (* --- learn ------------------------------------------------------------- *)
 
 let learn workload out =
   let t = Core.boot_with Core.Config.default in
   let rec_ = Core.trace t in
-  run_workload workload (Core.sys t);
+  ignore (Named_workload.run workload (Core.sys t));
   let a = Core.Verify.learn rec_ in
   let text = Core.Verify.Sfi.to_string a in
   (match out with
@@ -88,7 +51,7 @@ let policy_of_string = function
 
 let check file workload policy =
   let a =
-    try Core.Verify.Sfi.of_string (read_file file)
+    try Core.Verify.Sfi.of_string (Named_workload.read_file file)
     with Core.Verify.Sfi.Parse_error msg ->
       Fmt.failwith "%s: not an sfi automaton: %s" file msg
   in
@@ -98,7 +61,7 @@ let check file workload policy =
   in
   let kv = Option.get (Core.kverify t) in
   Core.Verify.set_automaton kv (Some a);
-  (try run_workload workload (Core.sys t)
+  (try ignore (Named_workload.run workload (Core.sys t))
    with Core.Verify.Flow_violation { pid; sysno } ->
      Fmt.pr "flow violation: pid %d killed attempting %s@." pid
        (Core.Sysno.to_string sysno));
@@ -181,7 +144,7 @@ let demo_ops = function
 (* Reconstruct a compound from its wire bytes (the header carries the
    op and slot counts). *)
 let read_compound path =
-  let buf = Bytes.of_string (read_file path) in
+  let buf = Bytes.of_string (Named_workload.read_file path) in
   if Bytes.length buf < 12 || Bytes.sub_string buf 0 4 <> "COSY" then
     Fmt.failwith "%s: not an encoded compound (missing COSY magic)" path;
   {
@@ -226,7 +189,7 @@ let opt file demo out shared_size =
 (* --- cmdliner wiring --------------------------------------------------- *)
 
 let workload_arg =
-  let doc = "Workload to run: " ^ String.concat ", " workloads in
+  let doc = "Workload to run: " ^ String.concat ", " Named_workload.names in
   Arg.(value & opt string "postmark" & info [ "w"; "workload" ] ~doc)
 
 let out_arg =

@@ -14,7 +14,7 @@
    Run with:  dune exec examples/kperf_flame.exe *)
 
 let () =
-  let t = Core.boot_with { Core.Config.default with trace = Some true } in
+  let t = Core.boot_with { Core.Config.default with trace = true } in
   let sys = Core.sys t in
 
   (* a small postmark mix: creates, reads, appends, unlinks *)

@@ -43,7 +43,7 @@ let () =
 
   (* synchronous: every call is its own kernel crossing *)
   let t1 = Core.boot_with Core.Config.default in
-  List.iter (fun r -> ignore (Core.Syscall.dispatch (Core.sys t1) r)) reqs;
+  List.iter (fun r -> ignore (Core.Syscall.invoke ~origin:Plain (Core.sys t1) r)) reqs;
   let sync_crossings = crossings t1 in
 
   (* ring: push 32 at a time, one enter per batch *)

@@ -49,7 +49,7 @@ module Config = struct
     kernel : Ksim.Kernel.config;   (* simulated-hardware shape *)
     ncpus : int option;            (* overrides [kernel.ncpus] when set *)
     dcache_shards : int option;    (* dentry-cache locking mode *)
-    trace : bool option;           (* force kperf on/off for this system *)
+    trace : bool;                  (* boot the kperf tracer enabled *)
     fs : fs_choice;
     verify : Kverify.policy option;
         (* [Some p] boots with a kverify instance installed as the
@@ -65,10 +65,10 @@ module Config = struct
            cycle-identical to plain admission).  [false] (default)
            keeps kopt entirely off the path. *)
     crash : Kcrash.config option;
-        (* [Some c] boots with a kcrash instance: [c.contain] installs
-           the oops reaper at the kill sites, [c.durable] puts
-           journalfs (when [fs] is a Journalfs flavor) in write-ahead
-           mode with replay-on-mount.  [None] (default) keeps kcrash
+        (* [Some c] boots with a kcrash instance, which installs the
+           oops reaper at the kill sites; [c.durable] puts journalfs
+           (when [fs] is a Journalfs flavor) in write-ahead mode with
+           replay-on-mount.  [None] (default) keeps kcrash
            entirely absent — the kill sites fall back to plain
            [Scheduler.kill] and the journal stays headers-only,
            bit-for-bit the previous behavior. *)
@@ -79,7 +79,7 @@ module Config = struct
       kernel = Ksim.Kernel.default_config;
       ncpus = None;
       dcache_shards = None;
-      trace = None;
+      trace = false;
       fs = Memfs;
       verify = None;
       optimize = false;
@@ -137,11 +137,7 @@ let boot_with ?image (cfg : Config.t) =
     | None -> cfg.kernel
     | Some n -> { cfg.kernel with Ksim.Kernel.ncpus = n }
   in
-  let kernel = Ksim.Kernel.create ~config () in
-  (* ?trace overrides the boot-time default for this system only *)
-  (match cfg.trace with
-  | Some on -> Kperf.set_enabled (Ksim.Kernel.perf kernel) on
-  | None -> ());
+  let kernel = Ksim.Kernel.create ~config ~trace:cfg.trace () in
   let kefence_ref = ref None in
   let wrapfs_ref = ref None in
   let journalfs_ref = ref None in
@@ -233,14 +229,10 @@ let boot_with ?image (cfg : Config.t) =
   let kc =
     match cfg.crash with
     | None -> None
-    | Some c ->
+    | Some _ ->
         let kc = Kcrash.create kernel sys in
-        if c.Kcrash.contain then begin
-          Kcrash.install kc;
-          match !kefence_ref with
-          | Some kf -> Kcrash.attach_kefence kc kf
-          | None -> ()
-        end;
+        Kcrash.install kc;
+        Option.iter (Kcrash.attach_kefence kc) !kefence_ref;
         Some kc
   in
   let t =
@@ -303,25 +295,28 @@ let disable_monitoring t =
 
 (* A Cosy kernel extension bound to this system.  On a verifying system
    the kverify admission checker attaches automatically, so verified
-   compounds run watchdog-elided. *)
+   compounds run watchdog-elided; on an optimizing one kopt's hook,
+   which runs kverify admission itself, attaches last and wins. *)
 let cosy ?shared_size ?policy ?user_program t =
   let cx = Cosy.Cosy_exec.create ?shared_size ?policy ?user_program t.sys in
-  (* the optimizer subsumes plain admission (it runs kverify itself);
-     attaching both would charge admission twice per compound *)
-  (match (t.kopt, t.kverify) with
-  | Some ko, _ -> Kopt.attach ko cx
-  | None, Some kv -> Kverify.attach_cosy kv cx
-  | None, None -> ());
+  Option.iter (fun kv -> Kverify.attach_cosy kv cx) t.kverify;
+  Option.iter (fun ko -> Kopt.attach ko cx) t.kopt;
   cx
 
 (* A batched submission/completion ring bound to this system; same
    automatic admission wiring as {!cosy}. *)
 let ring ?sq_entries ?cq_entries ?shared_size ?policy t =
   let r = Kring.create ?sq_entries ?cq_entries ?shared_size ?policy t.sys in
-  (match (t.kopt, t.kverify) with
-  | Some ko, _ -> Kopt.attach_ring ko r
-  | None, Some kv -> Kring.set_verifier r (Some (Kverify.ring_verifier kv))
-  | None, None -> ());
+  Option.iter
+    (fun kv ->
+      Kring.set_admission r
+        (Some
+           (fun reqs ->
+             if Kverify.ring_verifier kv reqs then
+               Some { Kring.fuse_next = [||]; coalesce_cq = false }
+             else None)))
+    t.kverify;
+  Option.iter (fun ko -> Kopt.attach_ring ko r) t.kopt;
   (* a contained oops discards the dying process's in-flight batches *)
   (match t.kcrash with
   | Some kc -> Kcrash.add_reaper kc (fun ~pid:_ -> Kring.discard_pending r)

@@ -52,9 +52,10 @@ module Config : sig
     dcache_shards : int option;
         (** dentry-cache locking: 1 = global [dcache_lock], more =
             per-shard locks with lockless reads (see {!Kvfs.Dcache}) *)
-    trace : bool option;
-        (** force the kperf tracer on/off for this system, overriding
-            [!Kperf.default_enabled] *)
+    trace : bool;
+        (** [true]: boot with the kperf tracer enabled, for this
+            system's whole life.  [false] (default): every tracepoint is
+            a single branch and the simulated clock is untouched. *)
     fs : fs_choice;
     verify : Kverify.policy option;
         (** [Some p]: boot with a {!Kverify.t} installed as the dispatch
@@ -72,8 +73,8 @@ module Config : sig
             which is cycle-identical to plain admission.  [false]
             (default): kopt entirely absent. *)
     crash : Kcrash.config option;
-        (** [Some c]: boot with a {!Kcrash.t}.  [c.contain] installs the
-            oops reaper at the kill sites (the kverify [Kill] policy,
+        (** [Some c]: boot with a {!Kcrash.t}, which installs the oops
+            reaper at the kill sites (the kverify [Kill] policy,
             the Cosy and kring watchdogs, kernel-mode memory faults), so
             a crashing process is destroyed with everything it held —
             fds, heap, locks, in-flight ring state — reaped, and every
@@ -101,10 +102,10 @@ val sys : t -> Ksyscall.Systable.t
     with [Kstats.set_enabled]. *)
 val stats : t -> Kstats.t
 
-(** The kperf tracer: per-CPU trace rings and causal spans.  Enabled at
-    boot when [!Kperf.default_enabled] (or via [Config.trace]);
-    toggle later with [Kperf.set_enabled].  Disabled, every tracepoint
-    is a single branch and the simulated clock is untouched. *)
+(** The kperf tracer: per-CPU trace rings and causal spans.  Enabled
+    exactly when the system booted with [Config.trace = true].
+    Disabled, every tracepoint is a single branch and the simulated
+    clock is untouched. *)
 val perf : t -> Kperf.t
 
 (** The kernel's fault-injection engine (see {!Kfault}).  Disarmed by

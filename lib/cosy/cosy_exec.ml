@@ -9,6 +9,15 @@ exception Exec_error of string
 
 module Syscall = Ksyscall.Syscall
 
+(* An admission hook's decision about one compound: run it under the
+   watchdog ([Dynamic]), run it watchdog-elided on the cheaper per-op
+   cost ([Verified]), or run the compiled thunk, which returns (slots,
+   ops executed, back-edges) ([Compiled]). *)
+type admission =
+  | Dynamic
+  | Verified
+  | Compiled of (unit -> int array * int * int)
+
 type t = {
   sys : Ksyscall.Systable.t;
   shared : Shared_buffer.t;
@@ -25,20 +34,11 @@ type t = {
   mutable ops_executed : int;
   mutable backedges : int;
   mutable user_calls : int;
-  (* kverify admission: when set, each submitted compound is statically
-     checked before execution; compounds that verify run with the
-     watchdog elided on the cheaper per-op cost.  [None] (the default)
-     is today's dynamic-only safety, bit-for-bit. *)
-  mutable verifier : (Compound.t -> bool) option;
+  (* the one admission hook (kverify's checker or kopt's optimizer,
+     whichever attached last), consulted once per submitted compound.
+     [None] (the default) is today's dynamic-only safety, bit-for-bit. *)
+  mutable admission : (Compound.t -> admission) option;
   mutable watchdog_elisions : int;
-  (* kopt: when set, each submitted compound is offered to the optimizer
-     before the interpreter runs.  [Some run] means the compound was
-     admitted and compiled (or found in the compiled-program cache): the
-     thunk executes the specialized plan — observably identical results,
-     cheaper accounting — and returns (slots, ops executed, back-edges).
-     [None] falls back to the dynamic path below. *)
-  mutable optimizer :
-    (Compound.t -> (unit -> int array * int * int) option) option;
 }
 
 let create ?(shared_size = 65536) ?policy ?user_program sys =
@@ -81,15 +81,13 @@ let create ?(shared_size = 65536) ?policy ?user_program sys =
     ops_executed = 0;
     backedges = 0;
     user_calls = 0;
-    verifier = None;
+    admission = None;
     watchdog_elisions = 0;
-    optimizer = None;
   }
 
 let shared t = t.shared
 let safety t = t.safety
-let set_verifier t v = t.verifier <- v
-let set_optimizer t o = t.optimizer <- o
+let set_admission t a = t.admission <- a
 let watchdog_elisions t = t.watchdog_elisions
 
 (* Read a NUL-terminated string argument: immediate or from the shared
@@ -294,26 +292,21 @@ let submit t compound =
   Ksim.Kernel.enter_kernel kernel;
   Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.cosy_submit;
   Cosy_safety.arm t.safety;
-  (* kopt: an installed optimizer subsumes plain admission — it consults
-     kverify itself (charging identical admission costs), compiles the
-     admitted compound into a specialized program (or pulls it from the
-     per-process cache), and hands back an execution thunk.  [None]
-     (rejected, or analysis produced nothing usable) falls back to the
-     dynamic path below exactly as a rejected compound would. *)
-  let optimized =
-    match t.optimizer with None -> None | Some o -> o compound
+  (* admission: the hook checks the compound (charging its own costs)
+     before a single op runs.  A verified compound executes on the
+     cheaper per-op cost with the watchdog elided, a compiled one runs
+     its thunk (its loops are proven bounded too); anything else —
+     every compound when no hook is installed — takes the dynamic
+     path. *)
+  let admission =
+    match t.admission with None -> Dynamic | Some a -> a compound
   in
-  (* kverify admission: statically check the compound before running a
-     single op.  A verified compound executes on the cheaper per-op cost
-     with the watchdog elided; anything else (including every compound
-     when no verifier is installed) takes today's dynamic path. *)
   let verified =
-    match (optimized, t.verifier) with
-    | Some _, _ | None, None -> false
-    | None, Some v ->
-        let ok = v compound in
-        if ok then t.watchdog_elisions <- t.watchdog_elisions + 1;
-        ok
+    match admission with
+    | Dynamic -> false
+    | Verified | Compiled _ ->
+        t.watchdog_elisions <- t.watchdog_elisions + 1;
+        true
   in
   let per_op_cost =
     if verified then cost.Ksim.Cost_model.cosy_exec_op_verified
@@ -326,18 +319,15 @@ let submit t compound =
   in
   let result =
     try
-      match optimized with
-      | Some run ->
-          (* the compiled program was admitted: like the verified path,
-             its loops are proven bounded, so the watchdog is elided *)
-          t.watchdog_elisions <- t.watchdog_elisions + 1;
+      match admission with
+      | Compiled run ->
           let slots, ops_run, backedges = run () in
           t.ops_executed <- t.ops_executed + ops_run;
           Kstats.add t.st_ops ops_run;
           t.backedges <- t.backedges + backedges;
           Kstats.add t.st_backedges backedges;
           slots
-      | None ->
+      | Dynamic | Verified ->
       let ops, slot_count =
         Compound.decode ~clock ~per_op:cost.Ksim.Cost_model.cosy_decode_op
           compound

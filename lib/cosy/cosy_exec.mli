@@ -27,28 +27,28 @@ val shared : t -> Shared_buffer.t
 
 val safety : t -> Cosy_safety.t
 
-(** Install/remove the kverify admission checker.  With a verifier set,
-    every submitted compound is statically checked inside the kernel
-    stay before execution: compounds that verify run on the cheaper
-    [cosy_exec_op_verified] cost with the back-edge watchdog elided
-    (their loops were proven bounded at admission — the preemption
-    checkpoint still runs); compounds that don't verify fall back to
-    today's watchdog path bit-for-bit.  [None] (the default) disables
-    admission entirely. *)
-val set_verifier : t -> (Compound.t -> bool) option -> unit
+(** An admission hook's decision about one compound. *)
+type admission =
+  | Dynamic
+      (** run under the back-edge watchdog, today's path bit-for-bit *)
+  | Verified
+      (** run on the cheaper [cosy_exec_op_verified] cost with the
+          watchdog elided (its loops were proven bounded at admission —
+          the preemption checkpoint still runs) *)
+  | Compiled of (unit -> int array * int * int)
+      (** admitted and compiled (or found in a compiled-program cache):
+          the thunk executes the specialized program and returns the
+          final register file plus the logical op and back-edge counts
+          it performed, which [submit] folds into the extension's
+          counters *)
 
-(** Install/remove the kopt optimizer.  Consulted before the verifier on
-    every submit (inside the kernel stay, after the safety watchdog is
-    armed): [Some run] means the compound was admitted and compiled (or
-    found in the per-process compiled-program cache) — the thunk
-    executes the specialized program and returns the final register
-    file plus the logical op and back-edge counts it performed, which
-    [submit] folds into the extension's counters.  [None] from the
-    optimizer falls back to the plain verifier/dynamic path bit-for-bit.
-    An installed optimizer subsumes the verifier: admission charges are
-    paid inside the optimizer instead. *)
-val set_optimizer :
-  t -> (Compound.t -> (unit -> int array * int * int) option) option -> unit
+(** Install/remove the admission hook: the extension's one safety
+    decision per compound ([Kverify.attach_cosy] and [Kopt.attach]
+    each install one, and the last install wins).  [submit] calls it
+    once per compound inside the kernel stay, after the safety watchdog
+    is armed; the hook charges its own admission costs.  [None] (the
+    default) runs every compound [Dynamic]. *)
+val set_admission : t -> (Compound.t -> admission) option -> unit
 
 (** Compounds admitted on the watchdog-elided path so far. *)
 val watchdog_elisions : t -> int

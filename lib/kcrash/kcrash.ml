@@ -24,11 +24,10 @@
    the kstats dump byte-identical to a kernel without it. *)
 
 type config = {
-  contain : bool;  (* install the oops reaper at kill sites *)
   durable : bool;  (* journalfs write-ahead logging + replay-on-mount *)
 }
 
-let default_config = { contain = true; durable = true }
+let default_config = { durable = true }
 
 (* Re-exports, so harnesses can match without reaching into ksim/kvfs. *)
 exception Oops = Ksim.Kernel.Oops
@@ -184,8 +183,6 @@ let oops t (p : Ksim.Kproc.t) ~reason =
 
 let install t =
   Ksim.Kernel.set_reaper t.kernel (Some (fun p ~reason -> oops t p ~reason))
-
-let uninstall t = Ksim.Kernel.set_reaper t.kernel None
 
 let reports t = List.rev t.reports
 let oops_count t = List.length t.reports

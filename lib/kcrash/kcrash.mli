@@ -23,14 +23,15 @@
     lazily on the first event, so an installed-but-quiet kcrash leaves
     the kstats dump byte-identical to a kernel without it. *)
 
+(** What a booted kcrash does beyond oops containment, which it always
+    installs ([Core.boot_with] calls {!install}). *)
 type config = {
-  contain : bool;  (** install the oops reaper at the kill sites *)
   durable : bool;
       (** journalfs write-ahead logging + replay-on-mount (only
           meaningful with [Config.fs = Journalfs]) *)
 }
 
-(** [{ contain = true; durable = true }]. *)
+(** [{ durable = true }]. *)
 val default_config : config
 
 (** Re-export of {!Ksim.Kernel.Oops}: raised by the syscall dispatcher
@@ -61,8 +62,6 @@ val create : Ksim.Kernel.t -> Ksyscall.Systable.t -> t
     kring watchdogs, the dispatcher's fault containment) through
     {!oops}. *)
 val install : t -> unit
-
-val uninstall : t -> unit
 
 (** The oops path itself: kill [p] and reap everything it held.  Calls
     [force_user_mode] first — a process dying mid-syscall never returns

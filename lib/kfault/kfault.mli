@@ -6,7 +6,8 @@
     kperf, like the tracer): subsystems register sites at creation time
     and consult {!fire} at the exact point where the real kernel could
     fail — an exhausted slab, a bad sector, a dropped frame, a signal
-    landing mid-syscall.  Disarmed (the default), every such probe is a
+    landing mid-syscall.  Arming is the engine's one switch.  Disarmed
+    (the state every engine is created in), every such probe is a
     single branch that touches neither the simulated clock nor the
     metrics registry, so a disarmed kernel is bit-for-bit identical to
     one built without kfault at all.
@@ -28,12 +29,6 @@
     invariants (no uncaught exception, clean errno propagation,
     digests byte-identical or cleanly failed).  [Resilience] in the
     core facade builds that harness; [bin/kfault_tool.exe] drives it. *)
-
-(** Engines created while this is [true] boot enabled (mirrors
-    [Kstats.default_enabled] / [Kperf.default_enabled]).  A disabled
-    engine never fires, counts nothing, and registers only site
-    handles. *)
-val default_enabled : bool ref
 
 type t
 type site
@@ -57,11 +52,7 @@ type plan = { site : string; trigger : trigger }
     aggregate fire counters register into [stats].  The engine emits a
     kperf instant (cat ["kfault"]) per fire once {!set_perf} has wired
     the tracer. *)
-val create :
-  ?enabled:bool -> ?stats:Kstats.t -> ?now:(unit -> int) -> unit -> t
-
-val set_enabled : t -> bool -> unit
-val is_enabled : t -> bool
+val create : ?stats:Kstats.t -> ?now:(unit -> int) -> unit -> t
 
 (** Wire the kperf tracer (the kernel calls this once the tracer
     exists; sites may already be registered). *)

@@ -402,12 +402,12 @@ let run_plan t cx (plan : Plan.t) =
 
 let attach t cx =
   let shared_size = Sbuf.size (Cx.shared cx) in
-  Cx.set_optimizer cx
+  Cx.set_admission cx
     (Some
        (fun compound ->
          match try_plan t ~shared_size compound with
-         | None -> None
-         | Some plan -> Some (fun () -> run_plan t cx plan)))
+         | None -> Cx.Dynamic
+         | Some plan -> Cx.Compiled (fun () -> run_plan t cx plan)))
 
 let ring_plan t reqs =
   if Kverify.ring_verifier t.kv reqs then begin
@@ -428,4 +428,4 @@ let ring_plan t reqs =
   else None
 
 let attach_ring t ring =
-  Kring.set_optimizer ring (Some (fun reqs -> ring_plan t reqs))
+  Kring.set_admission ring (Some (fun reqs -> ring_plan t reqs))

@@ -35,12 +35,14 @@ type t
     FIFO eviction). *)
 val create : ?cache_capacity:int -> Kverify.t -> Ksyscall.Systable.t -> t
 
-(** Install this optimizer on a Cosy extension
-    ([Cosy_exec.set_optimizer]).  Subsumes [Kverify.attach_cosy]: the
-    optimizer runs admission itself with identical charges. *)
+(** Install this optimizer as a Cosy extension's admission hook
+    ([Cosy_exec.set_admission]), replacing any hook already there (such
+    as [Kverify.attach_cosy]'s): the optimizer runs kverify admission
+    itself with identical charges, so admission is charged once. *)
 val attach : t -> Cosy.Cosy_exec.t -> unit
 
-(** Install this optimizer on a kring ([Kring.set_optimizer]): admitted
+(** Install this optimizer as a kring's admission hook
+    ([Kring.set_admission]), replacing any hook already there: admitted
     batches drain with recv→send pairs fused and the completion-region
     copy-out coalesced away. *)
 val attach_ring : t -> Kring.t -> unit

@@ -23,10 +23,6 @@
 
 type mode = Overwrite | Drop
 
-(* Tracers created while this is [true] start enabled (mirrors
-   [Kstats.default_enabled]). *)
-let default_enabled = ref false
-
 type ev_kind = Begin | End | Instant | Async_begin | Async_end
 
 type event = {
@@ -54,7 +50,7 @@ type ring = {
 type frame = { f_id : int; f_cat : string; f_name : string }
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   mode : mode;
   cap : int;
   ncpus : int;
@@ -98,8 +94,6 @@ let create ?(enabled = false) ?(mode = Overwrite) ?(ring_capacity = 65536)
     seq = 0;
   }
 
-let set_enabled t on = t.enabled <- on
-let is_enabled t = t.enabled
 let ncpus t = t.ncpus
 let mode t = t.mode
 let drops t = Kstats.counter_value t.st_drops

@@ -3,10 +3,11 @@
     stacks for flamegraphs, Chrome [trace_event] JSON loadable in
     Perfetto, and a top-N "where did the cycles go" self-profile.
 
-    The tracer mirrors the kstats contract: disabled by default, every
-    hook a single branch when off, and the library itself never touches
-    the simulated clock.  The kernel supplies [now]/[cpu]/[charge]
-    closures at boot; [charge] models the per-event emit cost
+    A tracer is enabled or disabled once, by [create ~enabled] (default
+    [false]), for its whole life.  Every hook is a single branch when
+    off, and the library itself never touches the simulated clock.  The
+    kernel supplies [now]/[cpu]/[charge] closures at boot (enabled by
+    [Kernel.create ~trace]); [charge] models the per-event emit cost
     ([Cost_model.trace_emit]) and only runs while tracing is enabled, so
     untraced runs are bit-for-bit identical to an untraced kernel.
 
@@ -19,10 +20,6 @@
     (counting [kperf.ring.overwritten]); [Drop] keeps the oldest
     (counting [kperf.ring.drops]). *)
 type mode = Overwrite | Drop
-
-(** Tracers created while [true] start enabled (mirrors
-    [Kstats.default_enabled]). *)
-val default_enabled : bool ref
 
 type ev_kind = Begin | End | Instant | Async_begin | Async_end
 
@@ -55,9 +52,6 @@ val create :
   ?charge:(unit -> unit) ->
   unit ->
   t
-
-val set_enabled : t -> bool -> unit
-val is_enabled : t -> bool
 
 val ncpus : t -> int
 val mode : t -> mode

@@ -41,7 +41,7 @@ type t = {
 
 let user_heap_base_vpn = 0x400
 
-let create ?(config = default_config) () =
+let create ?(config = default_config) ?(trace = false) () =
   let clock = Sim_clock.create () in
   let kstats = Kstats.create ~enabled:!Kstats.default_enabled () in
   let mem = Phys_mem.create ~page_size:config.page_size in
@@ -63,10 +63,10 @@ let create ?(config = default_config) () =
   (* The tracer sits below ksim in the library graph, so the kernel wires
      it up with closures: timestamps off the simulated clock, the active
      CPU off the scheduler, and a per-event charge off the cost model.
-     Disabled (the default) it never runs any of them, keeping traced and
+     Untraced (the default) it never runs any of them, keeping traced and
      untraced runs bit-for-bit identical. *)
   let perf =
-    Kperf.create ~enabled:!Kperf.default_enabled ~ncpus:config.ncpus
+    Kperf.create ~enabled:trace ~ncpus:config.ncpus
       ~stats:kstats
       ~now:(fun () -> Sim_clock.now clock)
       ~cpu:(fun () -> Scheduler.active_cpu sched)
@@ -79,7 +79,7 @@ let create ?(config = default_config) () =
      clock as a closure.  Disarmed (always, until a harness arms a
      plan) every site probe is one branch and nothing else runs. *)
   let fault =
-    Kfault.create ~enabled:!Kfault.default_enabled ~stats:kstats
+    Kfault.create ~stats:kstats
       ~now:(fun () -> Sim_clock.now clock)
       ()
   in

@@ -21,7 +21,9 @@ type mode = User | Kernel_mode
 
 type t
 
-val create : ?config:config -> unit -> t
+(** [trace] (default [false]) boots the kperf tracer enabled; it stays
+    in that state for the kernel's life. *)
+val create : ?config:config -> ?trace:bool -> unit -> t
 
 val clock : t -> Sim_clock.t
 val cost : t -> Cost_model.t
@@ -41,8 +43,8 @@ val sched : t -> Scheduler.t
     at boot.  Cycle-neutral either way. *)
 val stats : t -> Kstats.t
 
-(** The kperf tracer: per-CPU trace rings and causal spans.  Created
-    enabled when [Kperf.default_enabled] was set at boot; while disabled
+(** The kperf tracer: per-CPU trace rings and causal spans.  Enabled
+    when the kernel was created with [~trace:true]; while disabled
     every emit is a single branch and the simulated clock is never
     touched, so untraced runs are bit-for-bit identical to pre-kperf
     runs.  While enabled each stored record charges

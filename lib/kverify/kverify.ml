@@ -136,7 +136,12 @@ let ring_verifier t reqs =
 
 let attach_cosy t cx =
   let shared_size = Cosy.Shared_buffer.size (Cosy.Cosy_exec.shared cx) in
-  Cosy.Cosy_exec.set_verifier cx (Some (compound_verifier t ~shared_size))
+  Cosy.Cosy_exec.set_admission cx
+    (Some
+       (fun compound ->
+         if compound_verifier t ~shared_size compound then
+           Cosy.Cosy_exec.Verified
+         else Cosy.Cosy_exec.Dynamic))
 
 (* --- learning ----------------------------------------------------------- *)
 

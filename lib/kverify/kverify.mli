@@ -56,11 +56,13 @@ val uninstall : t -> Ksyscall.Systable.t -> unit
     [Cost_model.verify_admit_op] per op/request and bump
     [kverify.watchdog_elided] on success. *)
 
-(** Attach the compound checker to a Cosy extension
-    ([Cosy_exec.set_verifier]). *)
+(** Install the compound checker as a Cosy extension's admission hook
+    ([Cosy_exec.set_admission]): verified compounds run [Verified],
+    the rest [Dynamic].  Replaces any hook already installed. *)
 val attach_cosy : t -> Cosy.Cosy_exec.t -> unit
 
-(** Batch verifier for [Kring.set_verifier]. *)
+(** Batch verifier behind a kring's admission hook ([Core.ring] and
+    [Kopt.ring_plan] both call it). *)
 val ring_verifier : t -> Ksyscall.Syscall.req list -> bool
 
 (** Compound verifier with an explicit shared-buffer bound (what

@@ -98,8 +98,7 @@ let crash_config =
    skipped, exactly as power loss would skip them. *)
 let power_loss_marker = "POWER_LOSS"
 
-let run_with ?(plans = []) ?(config = default_run_config) () =
-  let t = Core.boot_with config in
+let run_on t =
   (* kstats registries boot with histograms off; the report (latency
      histograms included) is part of the run's observable record, so
      turn them on *)
@@ -107,9 +106,6 @@ let run_with ?(plans = []) ?(config = default_run_config) () =
   let sys = Core.sys t in
   let kernel = Core.kernel t in
   let fault = Core.fault t in
-  (* non-strict: the ring and Cosy sites register mid-run and pick the
-     plan up at registration *)
-  Kfault.arm ~strict:false fault plans;
   let buf = Buffer.create 4096 in
   let errs = ref [] in
   let killed = ref 0 in
@@ -276,16 +272,22 @@ let run_with ?(plans = []) ?(config = default_run_config) () =
       add_int r.Workloads.Webserver.n_served;
       add_int r.Workloads.Webserver.n_completed);
 
-  ( {
-      r_cycles = Ksim.Kernel.now kernel;
-      r_digest = Digest.to_hex (Digest.string (Buffer.contents buf));
-      r_errs = List.rev !errs;
-      r_killed = !killed;
-      r_escaped = !escaped;
-      r_counts = Kfault.counts fault;
-      r_stats = Fmt.str "%a" Kstats.pp_report (Core.stats t);
-    },
-    t )
+  {
+    r_cycles = Ksim.Kernel.now kernel;
+    r_digest = Digest.to_hex (Digest.string (Buffer.contents buf));
+    r_errs = List.rev !errs;
+    r_killed = !killed;
+    r_escaped = !escaped;
+    r_counts = Kfault.counts fault;
+    r_stats = Fmt.str "%a" Kstats.pp_report (Core.stats t);
+  }
+
+let run_with ?(plans = []) ?(config = default_run_config) () =
+  let t = Core.boot_with config in
+  (* non-strict: the ring and Cosy sites register mid-run and pick the
+     plan up at registration *)
+  Kfault.arm ~strict:false (Core.fault t) plans;
+  (run_on t, t)
 
 let run ?plans () = fst (run_with ?plans ())
 

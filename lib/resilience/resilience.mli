@@ -36,10 +36,17 @@ type run_result = {
     throws beyond clean errnos/kills lands in [r_escaped]. *)
 val run : ?plans:Kfault.plan list -> unit -> run_result
 
+(** The boot config {!run} uses: wrapfs-kmalloc, optimizer on. *)
+val default_run_config : Core.Config.t
+
+(** The standard workload on an already-booted system, leaving its
+    fault engine as it is (a never-armed engine stays disarmed).  Turns
+    the system's kstats histograms on. *)
+val run_on : Core.t -> run_result
+
 (** {!run} with an explicit boot config, returning the booted system
     too (for reboot-from-image probes and containment-overhead
-    comparisons).  [config] defaults to the standard sweep system
-    (wrapfs-kmalloc, optimizer on). *)
+    comparisons).  [config] defaults to {!default_run_config}. *)
 val run_with :
   ?plans:Kfault.plan list ->
   ?config:Core.Config.t ->

@@ -7,12 +7,12 @@
 let zero_config =
   { Ksim.Kernel.default_config with cost = Ksim.Cost_model.zero }
 
-let crash_contain = { Core.Crash.contain = true; durable = false }
+let crash_cfg = { Core.Crash.durable = false }
 
 let boot_contained ?(fs = Core.Memfs) () =
   let t =
     Core.boot_with
-      { Core.Config.default with Core.Config.fs; crash = Some crash_contain }
+      { Core.Config.default with Core.Config.fs; crash = Some crash_cfg }
   in
   Kstats.set_enabled (Core.stats t) true;
   t
@@ -293,7 +293,6 @@ let test_torn_tail_discarded () =
      write 1 and its commit is durable write 2), leaving the intent
      without a verdict *)
   ignore (check_ok "create a" (ops.Kvfs.Vtypes.create ~dir:root ~name:"a" Kvfs.Vtypes.Regular));
-  Kfault.set_enabled (Ksim.Kernel.fault kernel) true;
   Kfault.arm (Ksim.Kernel.fault kernel)
     [ { Kfault.site = Resilience.crash_site; trigger = Kfault.One_shot 2 } ];
   (try
@@ -361,7 +360,7 @@ let test_disarmed_identity () =
     { Core.Config.default with Core.Config.fs = Core.Journalfs; optimize = true }
   in
   let contained_cfg =
-    { plain_cfg with Core.Config.crash = Some crash_contain }
+    { plain_cfg with Core.Config.crash = Some crash_cfg }
   in
   let plain, _ = Resilience.run_with ~config:plain_cfg () in
   let contained, _ = Resilience.run_with ~config:contained_cfg () in

@@ -5,7 +5,7 @@
 (* --- the engine alone -------------------------------------------------- *)
 
 let test_triggers () =
-  let f = Kfault.create ~enabled:true () in
+  let f = Kfault.create () in
   let s = Kfault.register f "x" in
   Kfault.arm f [ { Kfault.site = "x"; trigger = Kfault.Every_nth 3 } ];
   let fires = ref 0 in
@@ -24,7 +24,7 @@ let test_triggers () =
 
 let test_prob_deterministic () =
   let stream seed =
-    let f = Kfault.create ~enabled:true () in
+    let f = Kfault.create () in
     let s = Kfault.register f "p" in
     Kfault.arm f [ { Kfault.site = "p"; trigger = Kfault.Prob { seed; ppm = 250_000 } } ];
     List.init 200 (fun _ -> Kfault.fire f s)
@@ -40,7 +40,7 @@ let test_prob_deterministic () =
     (hits > 20 && hits < 80)
 
 let test_counting_mode_and_disarm () =
-  let f = Kfault.create ~enabled:true () in
+  let f = Kfault.create () in
   let s = Kfault.register f "x" in
   Kfault.arm f [];
   for _ = 1 to 5 do
@@ -55,7 +55,7 @@ let test_counting_mode_and_disarm () =
   Alcotest.(check int) "disarmed stops counting" 5 (Kfault.occurrences f s)
 
 let test_late_registration_binds_plan () =
-  let f = Kfault.create ~enabled:true () in
+  let f = Kfault.create () in
   Kfault.arm ~strict:false f
     [ { Kfault.site = "late.site"; trigger = Kfault.One_shot 1 } ];
   let s = Kfault.register f "late.site" in
@@ -96,15 +96,12 @@ let test_sweep_points () =
 (* --- zero-impact disarmed contract ------------------------------------- *)
 
 (* The standard workload under a counting-mode engine must be
-   bit-for-bit identical to the same workload with the engine disabled
-   outright: same cycles, same payload digest, same kstats report. *)
+   bit-for-bit identical to the same workload with the engine never
+   armed: same cycles, same payload digest, same kstats report. *)
 let test_disarmed_bit_for_bit () =
   let counting = Resilience.run () in
-  Kfault.default_enabled := false;
   let disabled =
-    Fun.protect
-      ~finally:(fun () -> Kfault.default_enabled := true)
-      (fun () -> Resilience.run ())
+    Resilience.run_on (Core.boot_with Resilience.default_run_config)
   in
   Alcotest.(check (option string)) "counting escapes nothing" None
     counting.Resilience.r_escaped;

@@ -407,7 +407,7 @@ let test_detached_optimizer_identity () =
   let _, r1, s1, cy1 = run_one Core.Config.default compound in
   let t = Core.boot_with { Core.Config.default with optimize = true } in
   let cx = Core.cosy ~shared_size t in
-  Exec.set_optimizer cx None;
+  Exec.set_admission cx None;
   let r2 = Ok (Exec.submit cx compound) in
   ignore r2;
   let (), tm =
@@ -417,7 +417,7 @@ let test_detached_optimizer_identity () =
   (* measure a fresh detached run on its own clock for exact identity *)
   let t3 = Core.boot_with { Core.Config.default with optimize = true } in
   let cx3 = Core.cosy ~shared_size t3 in
-  Exec.set_optimizer cx3 None;
+  Exec.set_admission cx3 None;
   let slots3 = ref [||] in
   let (), tm3 =
     Ksim.Kernel.timed (Core.kernel t3) (fun () ->
@@ -561,6 +561,51 @@ let qcheck_optimized_equivalent =
       let topt, ro, so, _ = run_one ~setup opt_cfg compound in
       rv = ro && sv = so && file_bytes tv "/f" = file_bytes topt "/f")
 
+(* --- one admission hook per executor -------------------------------------- *)
+
+(* kverify attached first and kopt second: kopt's hook, which runs kverify
+   admission itself, must be the only one consulted, so a compound or
+   batch both reject costs exactly what it costs with kopt attached
+   alone — admission charged once, not once per hook. *)
+let test_one_hook_charges_admission_once () =
+  let user_program = "int f(void) { return 7; }" in
+  let rejected =
+    Compound.encode ~slot_count:1
+      [ Op.Call_user { dst = 0; fname = "f"; args = [] }; Op.Halt ]
+  in
+  let cosy_cycles ~both =
+    let t = Core.boot_with verify_cfg in
+    let ko = Kopt.create (Option.get (Core.kverify t)) (Core.sys t) in
+    let cx =
+      if both then Core.cosy ~shared_size ~user_program t
+      else Exec.create ~shared_size ~user_program (Core.sys t)
+    in
+    Kopt.attach ko cx;
+    let slots, tm =
+      Ksim.Kernel.timed (Core.kernel t) (fun () -> Exec.submit cx rejected)
+    in
+    Alcotest.(check int) "user call ran dynamically" 7 slots.(0);
+    tm.Ksim.Kernel.elapsed
+  in
+  Alcotest.(check int) "rejected compound: admission charged once"
+    (cosy_cycles ~both:false) (cosy_cycles ~both:true);
+  let batch =
+    [ Ksyscall.Syscall.Getpid; Ksyscall.Syscall.Read { fd = -1; len = 8 } ]
+  in
+  let ring_cycles ~both =
+    let t = Core.boot_with verify_cfg in
+    let ko = Kopt.create (Option.get (Core.kverify t)) (Core.sys t) in
+    let r = if both then Core.ring t else Kring.create (Core.sys t) in
+    Kopt.attach_ring ko r;
+    let comps, tm =
+      Ksim.Kernel.timed (Core.kernel t) (fun () -> Kring.run_batch r batch)
+    in
+    Alcotest.(check int) "batch completed" 2 (List.length comps);
+    tm.Ksim.Kernel.elapsed
+  in
+  Alcotest.(check int) "rejected batch: admission charged once"
+    (ring_cycles ~both:false) (ring_cycles ~both:true)
+
 let () =
   Alcotest.run "kopt"
     [
@@ -613,5 +658,10 @@ let () =
         [
           Alcotest.test_case "detached optimizer is free" `Quick
             test_detached_optimizer_identity;
+        ] );
+      ( "one-hook",
+        [
+          Alcotest.test_case "admission charged once" `Quick
+            test_one_hook_charges_admission_once;
         ] );
     ]

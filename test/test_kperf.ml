@@ -97,10 +97,7 @@ let test_nesting () =
    drained kring batch must be parented (directly or transitively) to
    the batch's one ring:enter span. *)
 let test_kring_batch_parenting () =
-  Kperf.default_enabled := true;
-  Fun.protect ~finally:(fun () -> Kperf.default_enabled := false)
-  @@ fun () ->
-  let t = Core.boot_with Core.Config.default in
+  let t = Core.boot_with { Core.Config.default with trace = true } in
   let ring = Core.ring t in
   let reqs =
     [
@@ -152,10 +149,7 @@ let test_kring_batch_parenting () =
 (* --- determinism -------------------------------------------------------- *)
 
 let traced_postmark () =
-  Kperf.default_enabled := true;
-  Fun.protect ~finally:(fun () -> Kperf.default_enabled := false)
-  @@ fun () ->
-  let t = Core.boot_with Core.Config.default in
+  let t = Core.boot_with { Core.Config.default with trace = true } in
   let cfg =
     { Workloads.Postmark.default_config with files = 20; transactions = 60 }
   in
@@ -174,7 +168,7 @@ let test_determinism () =
 (* Tracing disabled must not move the simulated clock by one cycle. *)
 let test_disabled_is_free () =
   let run ~trace =
-    let t = Core.boot_with { Core.Config.default with trace = Some trace } in
+    let t = Core.boot_with { Core.Config.default with trace } in
     let cfg =
       { Workloads.Postmark.default_config with files = 20; transactions = 60 }
     in

@@ -58,7 +58,7 @@ let test_batch_matches_sequential () =
   (* twin systems: same ops synchronously on one, batched on the other *)
   let _, sys_sync = mk_sys () in
   let sync_replies =
-    List.map (fun req -> Ksyscall.Usyscall.dispatch sys_sync req) mixed_reqs
+    List.map (fun req -> Ksyscall.Usyscall.invoke ~origin:Plain sys_sync req) mixed_reqs
   in
   let _, sys_ring = mk_sys () in
   let ring = Kring.create sys_ring in
@@ -164,7 +164,7 @@ let test_crossings_savings_vs_sync () =
   in
   let kernel_s, sys_s = mk_sys () in
   let c0 = Ksim.Kernel.crossings kernel_s in
-  List.iter (fun r -> ignore (Ksyscall.Usyscall.dispatch sys_s r)) reqs;
+  List.iter (fun r -> ignore (Ksyscall.Usyscall.invoke ~origin:Plain sys_s r)) reqs;
   let sync_crossings = Ksim.Kernel.crossings kernel_s - c0 in
   let kernel_r, sys_r = mk_sys () in
   let c0 = Ksim.Kernel.crossings kernel_r in
