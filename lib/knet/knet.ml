@@ -18,85 +18,51 @@ let ep_in = 1
 let ep_out = 2
 let ep_hup = 4
 
-(* A byte FIFO over Buffer: append at the tail, consume a prefix. *)
+module Event_heap = Event_heap
+module Itbl = Hashtbl.Make (Int)
+module Iset = Set.Make (Int)
+
+(* A byte FIFO over one reusable buffer: the live bytes are
+   [buf.[off .. off+len)].  A push is one blit, a take one [Bytes.sub];
+   the queue compacts before it grows, and callers bound its length by
+   rcvbuf/sndbuf. *)
 module Bq = struct
-  type t = { buf : Buffer.t; mutable off : int }
+  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
-  let create () = { buf = Buffer.create 64; off = 0 }
-  let length q = Buffer.length q.buf - q.off
+  let create () = { buf = Bytes.empty; off = 0; len = 0 }
+  let length q = q.len
 
-  let push_sub q s pos len = Buffer.add_substring q.buf s pos len
-  let push_bytes_sub q b pos len = Buffer.add_subbytes q.buf b pos len
+  (* Make room for [n] bytes at the tail; returns where they go. *)
+  let reserve q n =
+    let need = q.len + n in
+    let cap = Bytes.length q.buf in
+    if q.off + need > cap then begin
+      let buf =
+        if need > cap then Bytes.create (max need (max 64 (2 * cap)))
+        else q.buf
+      in
+      Bytes.blit q.buf q.off buf 0 q.len;
+      q.buf <- buf;
+      q.off <- 0
+    end;
+    q.len <- need;
+    q.off + need - n
+
+  let push_string q s pos n =
+    let dst = reserve q n in
+    Bytes.blit_string s pos q.buf dst n
+
+  let push_bytes q b pos n =
+    let dst = reserve q n in
+    Bytes.blit b pos q.buf dst n
 
   let take q n =
-    let n = min n (length q) in
-    let b = Bytes.of_string (Buffer.sub q.buf q.off n) in
+    let n = min n q.len in
+    let b = Bytes.sub q.buf q.off n in
     q.off <- q.off + n;
-    if q.off = Buffer.length q.buf then (Buffer.clear q.buf; q.off <- 0);
+    q.len <- q.len - n;
+    if q.len = 0 then q.off <- 0;
     b
-end
-
-module Heap = struct
-  (* Binary min-heap on (due, seq): FIFO among events due the same cycle. *)
-  type 'a t = { mutable arr : (int * int * 'a) option array; mutable len : int }
-
-  let create () = { arr = Array.make 64 None; len = 0 }
-  let is_empty h = h.len = 0
-  let get h i = match h.arr.(i) with Some e -> e | None -> assert false
-
-  let less (d1, s1, _) (d2, s2, _) = d1 < d2 || (d1 = d2 && s1 < s2)
-
-  let push h due seq ev =
-    if h.len = Array.length h.arr then begin
-      let bigger = Array.make (2 * h.len) None in
-      Array.blit h.arr 0 bigger 0 h.len;
-      h.arr <- bigger
-    end;
-    h.arr.(h.len) <- Some (due, seq, ev);
-    h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      if less (get h !i) (get h p) then begin
-        let tmp = h.arr.(!i) in
-        h.arr.(!i) <- h.arr.(p);
-        h.arr.(p) <- tmp;
-        i := p;
-        true
-      end
-      else false
-    do
-      ()
-    done
-
-  let peek h = if h.len = 0 then None else Some (get h 0)
-
-  let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = get h 0 in
-      h.len <- h.len - 1;
-      h.arr.(0) <- h.arr.(h.len);
-      h.arr.(h.len) <- None;
-      let i = ref 0 in
-      let continue = ref (h.len > 1) in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && less (get h l) (get h !smallest) then smallest := l;
-        if r < h.len && less (get h r) (get h !smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.arr.(!i) in
-          h.arr.(!i) <- h.arr.(!smallest);
-          h.arr.(!smallest) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
-    end
 end
 
 (* One simulated client driving one connection. *)
@@ -115,7 +81,8 @@ type client = {
   mutable cl_body_left : int;
   cl_sent_at : int Queue.t;          (* client-side send instants, FIFO *)
   cl_span : int Queue.t;             (* kperf async span ids, same FIFO *)
-  cl_resp : Buffer.t;                (* raw response stream until digest *)
+  mutable cl_rx : Bytes.t list;      (* drained chunks, newest first,
+                                        digested once at the end *)
   mutable cl_finished : bool;
   mutable cl_fails : int;            (* consecutive failures, drives backoff *)
   mutable cl_txq : string list;      (* unacked tx data, strict FIFO: a
@@ -149,7 +116,10 @@ type sock =
   | S_listen of listener
   | S_conn of conn
 
-type ep = { ep_interest : (int, int * int) Hashtbl.t (* sock -> mask, cookie *) }
+type ep = {
+  ep_interest : (int * int) Itbl.t;  (* sock -> mask, cookie *)
+  mutable ep_order : Iset.t;         (* the same socks, ascending *)
+}
 
 type ev =
   | Ev_connect of client
@@ -164,6 +134,7 @@ type port_state = {
   mutable ps_responses : int;
   mutable ps_drops : int;
   mutable ps_retrans : int;          (* wire frames lost and re-sent *)
+  mutable ps_failed : int;           (* connections abandoned *)
   ps_digests : string array;         (* per-connection, arrival order *)
 }
 
@@ -171,14 +142,12 @@ type t = {
   kn : Kernel.t;
   rcvbuf : int;
   sndbuf : int;
-  socks : (int, sock) Hashtbl.t;
-  eps : (int, ep) Hashtbl.t;
-  ports : (int, int) Hashtbl.t;      (* port -> listener sock id *)
-  heap : ev Heap.t;
-  mutable seq : int;                 (* heap insertion tiebreaker *)
+  socks : sock Itbl.t;
+  eps : ep Itbl.t;
+  ports : int Itbl.t;                (* port -> listener sock id *)
+  heap : ev Event_heap.t;
   mutable next_id : int;
-  traffic : (int, port_state) Hashtbl.t;
-  mutable stage : Bytes.t;           (* shared transmit staging region *)
+  traffic : port_state Itbl.t;
   (* kstats handles *)
   stats : Kstats.t;
   st_conns : Kstats.counter;
@@ -207,14 +176,12 @@ let create ?(rcvbuf = 16 * 1024) ?(sndbuf = 32 * 1024) kn =
     kn;
     rcvbuf;
     sndbuf;
-    socks = Hashtbl.create 64;
-    eps = Hashtbl.create 4;
-    ports = Hashtbl.create 4;
-    heap = Heap.create ();
-    seq = 0;
+    socks = Itbl.create 64;
+    eps = Itbl.create 4;
+    ports = Itbl.create 4;
+    heap = Event_heap.create ~dummy:(Ev_drain (-1));
     next_id = 1;
-    traffic = Hashtbl.create 4;
-    stage = Bytes.create 0;
+    traffic = Itbl.create 4;
     stats;
     st_conns = Kstats.counter stats "net.conns";
     st_accepts = Kstats.counter stats "net.accepts";
@@ -241,20 +208,16 @@ let now t = Kernel.now t.kn
 let charge t = Kernel.charge_kernel t.kn (Kernel.cost t.kn).net_op
 let wire t = (Kernel.cost t.kn).wire_latency
 
-let push_ev t due ev =
-  t.seq <- t.seq + 1;
-  Heap.push t.heap (max due (now t)) t.seq ev
+let push_ev t due ev = Event_heap.push t.heap ~due:(max due (now t)) ev
 
 let fresh_id t =
   let id = t.next_id in
   t.next_id <- id + 1;
   id
 
-let pending_events t = t.heap.Heap.len
-
 (* ---------- client side (runs at event-processing time) ---------- *)
 
-let port_state t port = Hashtbl.find_opt t.traffic port
+let port_state t port = Itbl.find_opt t.traffic port
 
 let schedule_request t cl ~req ~send_at =
   Queue.push send_at cl.cl_sent_at;
@@ -283,13 +246,17 @@ let response_done t cl =
     cl.cl_finished <- true;
     (match port_state t cl.cl_port with
     | Some ps ->
-        ps.ps_digests.(cl.cl_seq) <-
-          Digest.to_hex (Digest.string (Buffer.contents cl.cl_resp));
+        let stream =
+          match cl.cl_rx with
+          | [ b ] -> b
+          | chunks -> Bytes.concat Bytes.empty (List.rev chunks)
+        in
+        ps.ps_digests.(cl.cl_seq) <- Digest.to_hex (Digest.bytes stream);
         ps.ps_completed <- ps.ps_completed + 1
     | None -> ());
-    Buffer.clear cl.cl_resp;
+    cl.cl_rx <- [];
     (* FIN rides the final ack: the server sees EOF once it drains. *)
-    match Hashtbl.find_opt t.socks cl.cl_conn with
+    match Itbl.find_opt t.socks cl.cl_conn with
     | Some (S_conn c) -> c.cn_peer_closed <- true
     | _ -> ()
   end
@@ -301,7 +268,7 @@ let response_done t cl =
 
 (* Parse drained bytes against the 8-byte-length + body framing. *)
 let client_rx t cl (b : Bytes.t) =
-  Buffer.add_bytes cl.cl_resp b;
+  cl.cl_rx <- b :: cl.cl_rx;
   let len = Bytes.length b in
   let pos = ref 0 in
   while !pos < len && not cl.cl_finished do
@@ -329,10 +296,10 @@ let client_rx t cl (b : Bytes.t) =
 type connect_result = C_ok of int * int | C_drop of int | C_refused
 
 let connect_attempt t ~port ~client =
-  match Hashtbl.find_opt t.ports port with
+  match Itbl.find_opt t.ports port with
   | None -> C_refused
   | Some lid -> (
-      match Hashtbl.find_opt t.socks lid with
+      match Itbl.find_opt t.socks lid with
       | Some (S_listen l) when l.l_backlog > 0 ->
           if Queue.length l.l_queue >= l.l_backlog then begin
             l.l_drops <- l.l_drops + 1;
@@ -362,7 +329,7 @@ let connect_attempt t ~port ~client =
                 cn_client = client;
               }
             in
-            Hashtbl.replace t.socks id (S_conn c);
+            Itbl.replace t.socks id (S_conn c);
             Queue.push id l.l_queue;
             Kstats.incr t.st_conns;
             C_ok (lid, id)
@@ -374,33 +341,24 @@ let inject_connect t ~port =
   | C_ok (_, id) -> Some id
   | C_drop _ | C_refused -> None
 
-(* Errno-carrying variant: the two rejection paths are distinct — a SYN
-   dropped by a full backlog looks like a timeout to the client, while a
-   port nobody listens on is actively refused. *)
-let inject_connect_result t ~port =
-  match connect_attempt t ~port ~client:None with
-  | C_ok (_, id) -> Ok id
-  | C_drop _ -> Error V.ETIMEDOUT
-  | C_refused -> Error V.ECONNREFUSED
-
 let deliver_bytes t c s pos len =
   let space = t.rcvbuf - Bq.length c.cn_recv in
   let n = min space len in
   if n < len then Kstats.incr t.st_rcvq_full;
   if n > 0 then begin
-    Bq.push_sub c.cn_recv s pos n;
+    Bq.push_string c.cn_recv s pos n;
     Kstats.add t.st_bytes_in n
   end;
   n
 
 let inject_bytes t ~sock s =
-  match Hashtbl.find_opt t.socks sock with
+  match Itbl.find_opt t.socks sock with
   | Some (S_conn c) when not c.cn_closed ->
       deliver_bytes t c s 0 (String.length s)
   | _ -> 0
 
 let inject_fin t ~sock =
-  match Hashtbl.find_opt t.socks sock with
+  match Itbl.find_opt t.socks sock with
   | Some (S_conn c) -> c.cn_peer_closed <- true
   | _ -> ()
 
@@ -417,6 +375,25 @@ let backoff_delay t cl =
   if d > base then Kstats.add t.st_backoff_cycles (d - base);
   cl.cl_fails <- cl.cl_fails + 1;
   d
+
+(* Consecutive wire drops a client retransmits through before it gives
+   up on the connection, as tcp_retries2 bounds a TCP sender. *)
+let max_retransmits = 15
+
+(* The client abandons its connection: its unsent frames and open
+   request spans go, the server sees HUP, and the port counts a failed
+   connection (its digest slot stays empty). *)
+let abandon t cl c =
+  cl.cl_finished <- true;
+  cl.cl_txq <- [];
+  Queue.iter
+    (fun span -> Kperf.async_end (Kernel.perf t.kn) ~arg:cl.cl_port span)
+    cl.cl_span;
+  Queue.clear cl.cl_span;
+  (match port_state t cl.cl_port with
+  | Some ps -> ps.ps_failed <- ps.ps_failed + 1
+  | None -> ());
+  c.cn_peer_closed <- true
 
 (* Returns the sock ids whose readiness the event may have changed. *)
 let process_event t = function
@@ -442,7 +419,7 @@ let process_event t = function
           push_ev t (now t + backoff_delay t cl) (Ev_connect cl);
           [])
   | Ev_deliver cl -> (
-      match (Hashtbl.find_opt t.socks cl.cl_conn, cl.cl_txq) with
+      match (Itbl.find_opt t.socks cl.cl_conn, cl.cl_txq) with
       | Some (S_conn c), data :: rest when not c.cn_closed ->
           if Kfault.fire t.fault t.site_wire_drop then begin
             (* the frame vanishes on the wire; the client's retransmit
@@ -450,13 +427,16 @@ let process_event t = function
                data stays at the head of the tx queue, so pipelined
                frames behind it wait their turn, as TCP's sequence
                numbers would make them *)
-            Kstats.incr t.st_retransmits;
-            (match port_state t cl.cl_port with
-            | Some ps -> ps.ps_retrans <- ps.ps_retrans + 1
-            | None -> ());
-            Kperf.instant (Kernel.perf t.kn) ~arg:cl.cl_port ~cat:"retry"
-              ~name:"net.retransmit" ();
-            push_ev t (now t + backoff_delay t cl) (Ev_deliver cl);
+            if cl.cl_fails >= max_retransmits then abandon t cl c
+            else begin
+              Kstats.incr t.st_retransmits;
+              (match port_state t cl.cl_port with
+              | Some ps -> ps.ps_retrans <- ps.ps_retrans + 1
+              | None -> ());
+              Kperf.instant (Kernel.perf t.kn) ~arg:cl.cl_port ~cat:"retry"
+                ~name:"net.retransmit" ();
+              push_ev t (now t + backoff_delay t cl) (Ev_deliver cl)
+            end;
             [ c.cn_id ]
           end
           else begin
@@ -472,7 +452,7 @@ let process_event t = function
           end
       | _ -> [])
   | Ev_drain id -> (
-      match Hashtbl.find_opt t.socks id with
+      match Itbl.find_opt t.socks id with
       | Some (S_conn c) ->
           c.cn_drain_scheduled <- false;
           let n = Bq.length c.cn_send in
@@ -486,27 +466,23 @@ let process_event t = function
           [ id ]
       | None | Some (S_new _) | Some (S_listen _) -> [])
 
+(* Process every event due at or before the current clock. *)
 let pump t =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.heap with
-    | Some (due, _, _) when due <= now t ->
-        (match Heap.pop t.heap with
-        | Some (_, _, ev) -> ignore (process_event t ev)
-        | None -> ())
-    | _ -> continue := false
+  while Event_heap.top_due t.heap <= now t do
+    ignore (process_event t (Event_heap.pop t.heap))
   done
 
 (* Advance the clock (I/O wait) to the next event and process it. *)
 let advance_and_process t =
-  match Heap.pop t.heap with
-  | None -> []
-  | Some (due, _, ev) ->
-      if due > now t then Kernel.charge_io t.kn (due - now t);
-      process_event t ev
+  if Event_heap.is_empty t.heap then []
+  else begin
+    let due = Event_heap.top_due t.heap in
+    if due > now t then Kernel.charge_io t.kn (due - now t);
+    process_event t (Event_heap.pop t.heap)
+  end
 
 let step t =
-  if Heap.is_empty t.heap then false
+  if Event_heap.is_empty t.heap then false
   else begin
     ignore (advance_and_process t);
     true
@@ -517,18 +493,18 @@ let step t =
 let socket t =
   charge t;
   let id = fresh_id t in
-  Hashtbl.replace t.socks id (S_new { sn_port = 0 });
+  Itbl.replace t.socks id (S_new { sn_port = 0 });
   id
 
 let bind t ~sock ~port =
   charge t;
-  match Hashtbl.find_opt t.socks sock with
+  match Itbl.find_opt t.socks sock with
   | Some (S_new s) ->
       if port <= 0 then Error V.EINVAL
-      else if Hashtbl.mem t.ports port then Error V.EADDRINUSE
+      else if Itbl.mem t.ports port then Error V.EADDRINUSE
       else begin
         s.sn_port <- port;
-        Hashtbl.replace t.ports port sock;
+        Itbl.replace t.ports port sock;
         Ok ()
       end
   | Some (S_listen _) | Some (S_conn _) -> Error V.EINVAL
@@ -536,12 +512,12 @@ let bind t ~sock ~port =
 
 let listen t ~sock ~backlog =
   charge t;
-  match Hashtbl.find_opt t.socks sock with
+  match Itbl.find_opt t.socks sock with
   | Some (S_new s) ->
       if s.sn_port = 0 then Error V.EINVAL
       else if backlog <= 0 then Error V.EINVAL
       else begin
-        Hashtbl.replace t.socks sock
+        Itbl.replace t.socks sock
           (S_listen
              {
                l_id = sock;
@@ -560,11 +536,11 @@ let listen t ~sock ~backlog =
 
 let accept t ~sock =
   charge t;
-  match Hashtbl.find_opt t.socks sock with
+  match Itbl.find_opt t.socks sock with
   | Some (S_listen l) -> (
       match Queue.take_opt l.l_queue with
       | Some id ->
-          (match Hashtbl.find_opt t.socks id with
+          (match Itbl.find_opt t.socks id with
           | Some (S_conn c) -> c.cn_accepted <- true
           | _ -> ());
           Kstats.incr t.st_accepts;
@@ -576,7 +552,7 @@ let accept t ~sock =
   | None -> Error V.EBADF
 
 let conn_of t sock =
-  match Hashtbl.find_opt t.socks sock with
+  match Itbl.find_opt t.socks sock with
   | Some (S_conn c) -> Ok c
   | Some (S_new _) | Some (S_listen _) -> Error V.ENOTSOCK
   | None -> Error V.EBADF
@@ -624,7 +600,7 @@ let append_out t c data =
   end
   else begin
     if n < len then Kstats.incr t.st_sendq_full;
-    Bq.push_bytes_sub c.cn_send data 0 n;
+    Bq.push_bytes c.cn_send data 0 n;
     schedule_drain t c;
     Ok n
   end
@@ -635,81 +611,81 @@ let send t ~sock ~data =
   | Error _ as e -> e |> Result.map (fun _ -> 0)
   | Ok c -> append_out t c data
 
-(* Zero-copy transmit: the payload reaches the send queue through the
-   kernel-owned staging region instead of a user buffer, so no
-   copy_{from,to}_user bytes are charged (the DMA cost is the caller's,
-   mirroring Consolidated.service_sendfile). *)
+(* Zero-copy transmit: the kernel-owned payload goes straight into the
+   send queue instead of through a user buffer, so no copy_{from,to}_user
+   bytes are charged (the DMA cost is the caller's, mirroring
+   Consolidated.service_sendfile).  The stage gauge takes each
+   transmit's size, so its peak is the largest one. *)
 let send_kernel t ~sock data =
   charge t;
   match conn_of t sock with
   | Error _ as e -> e |> Result.map (fun _ -> 0)
   | Ok c ->
-      let len = Bytes.length data in
-      if Bytes.length t.stage < len then begin
-        let cap = max 4096 len in
-        t.stage <- Bytes.create cap
-      end;
-      Bytes.blit data 0 t.stage 0 len;
-      Kstats.set t.st_stage_hw len;
-      let r = append_out t c (Bytes.sub t.stage 0 len) in
+      Kstats.set t.st_stage_hw (Bytes.length data);
+      let r = append_out t c data in
       (match r with
       | Ok n -> Kstats.add t.st_sendfile_bytes n
       | Error _ -> ());
       r
 
+let ep_remove e sock =
+  Itbl.remove e.ep_interest sock;
+  e.ep_order <- Iset.remove sock e.ep_order
+
 let close t ~sock =
   charge t;
-  Hashtbl.iter (fun _ e -> Hashtbl.remove e.ep_interest sock) t.eps;
-  if Hashtbl.mem t.eps sock then Hashtbl.remove t.eps sock
+  Itbl.iter (fun _ e -> ep_remove e sock) t.eps;
+  if Itbl.mem t.eps sock then Itbl.remove t.eps sock
   else
-    match Hashtbl.find_opt t.socks sock with
+    match Itbl.find_opt t.socks sock with
     | None -> ()
     | Some (S_new s) ->
-        if s.sn_port <> 0 && Hashtbl.find_opt t.ports s.sn_port = Some sock
-        then Hashtbl.remove t.ports s.sn_port;
-        Hashtbl.remove t.socks sock
+        if s.sn_port <> 0 && Itbl.find_opt t.ports s.sn_port = Some sock
+        then Itbl.remove t.ports s.sn_port;
+        Itbl.remove t.socks sock
     | Some (S_listen l) ->
-        if Hashtbl.find_opt t.ports l.l_port = Some sock then
-          Hashtbl.remove t.ports l.l_port;
+        if Itbl.find_opt t.ports l.l_port = Some sock then
+          Itbl.remove t.ports l.l_port;
         Queue.iter
           (fun id ->
-            match Hashtbl.find_opt t.socks id with
+            match Itbl.find_opt t.socks id with
             | Some (S_conn c) ->
                 c.cn_closed <- true;
-                Hashtbl.remove t.socks id
+                Itbl.remove t.socks id
             | _ -> ())
           l.l_queue;
-        Hashtbl.remove t.socks sock
+        Itbl.remove t.socks sock
     | Some (S_conn c) ->
         c.cn_closed <- true;
-        Hashtbl.remove t.socks sock
+        Itbl.remove t.socks sock
 
 (* ---------- epoll ---------- *)
 
 let epoll_create t =
   charge t;
   let id = fresh_id t in
-  Hashtbl.replace t.eps id { ep_interest = Hashtbl.create 16 };
+  Itbl.replace t.eps id { ep_interest = Itbl.create 16; ep_order = Iset.empty };
   id
 
 let epoll_ctl t ~ep ~sock ~op =
   charge t;
-  match Hashtbl.find_opt t.eps ep with
+  match Itbl.find_opt t.eps ep with
   | None -> Error V.EBADF
   | Some e -> (
       match op with
       | `Add (mask, cookie) ->
-          if not (Hashtbl.mem t.socks sock) then Error V.EBADF
+          if not (Itbl.mem t.socks sock) then Error V.EBADF
           else begin
-            Hashtbl.replace e.ep_interest sock (mask, cookie);
+            Itbl.replace e.ep_interest sock (mask, cookie);
+            e.ep_order <- Iset.add sock e.ep_order;
             Ok ()
           end
       | `Del ->
-          Hashtbl.remove e.ep_interest sock;
+          ep_remove e sock;
           Ok ())
 
 let ready_mask t id =
-  match Hashtbl.find_opt t.socks id with
+  match Itbl.find_opt t.socks id with
   | Some (S_listen l) -> if Queue.length l.l_queue > 0 then ep_in else 0
   | Some (S_conn c) ->
       let m = ref 0 in
@@ -722,34 +698,34 @@ let ready_mask t id =
 (* HUP is delivered whether requested or not, as in epoll(7). *)
 let effective_ready t id mask = ready_mask t id land (mask lor ep_hup)
 
+exception Scan_full
+
+(* The first [max] ready registrations, in ascending socket id. *)
 let scan t e max =
-  let entries =
-    Hashtbl.fold
-      (fun id (mask, cookie) acc -> (id, mask, cookie) :: acc)
-      e.ep_interest []
-  in
-  let entries =
-    List.sort (fun (a, _, _) (b, _, _) -> compare a b) entries
-  in
-  let rec collect n acc = function
-    | [] -> List.rev acc
-    | _ when n >= max -> List.rev acc
-    | (id, mask, cookie) :: rest ->
-        let r = effective_ready t id mask in
-        if r <> 0 then collect (n + 1) ((cookie, r) :: acc) rest
-        else collect n acc rest
-  in
-  collect 0 [] entries
+  let acc = ref [] and n = ref 0 in
+  (try
+     Iset.iter
+       (fun id ->
+         if !n >= max then raise_notrace Scan_full;
+         let mask, cookie = Itbl.find e.ep_interest id in
+         let r = effective_ready t id mask in
+         if r <> 0 then begin
+           acc := (cookie, r) :: !acc;
+           incr n
+         end)
+       e.ep_order
+   with Scan_full -> ());
+  List.rev !acc
 
 let epoll_wait t ~ep ~max =
   charge t;
   Kstats.incr t.st_epoll_waits;
-  match Hashtbl.find_opt t.eps ep with
+  match Itbl.find_opt t.eps ep with
   | None -> Error V.EBADF
   | Some e ->
       pump t;
       let r = scan t e max in
-      if r <> [] || Heap.is_empty t.heap then Ok r
+      if r <> [] || Event_heap.is_empty t.heap then Ok r
       else begin
         (* Nothing ready: sleep on the wait queue until the traffic
            generator wakes us.  Only sockets an event touched are
@@ -759,12 +735,12 @@ let epoll_wait t ~ep ~max =
         let saved = p.Kproc.state in
         p.Kproc.state <- Kproc.Blocked;
         let woken = ref false in
-        while (not !woken) && not (Heap.is_empty t.heap) do
+        while (not !woken) && not (Event_heap.is_empty t.heap) do
           let touched = advance_and_process t in
           if
             List.exists
               (fun id ->
-                match Hashtbl.find_opt e.ep_interest id with
+                match Itbl.find_opt e.ep_interest id with
                 | Some (mask, _) -> effective_ready t id mask <> 0
                 | None -> false)
               touched
@@ -811,10 +787,11 @@ module Traffic = struct
         ps_responses = 0;
         ps_drops = 0;
         ps_retrans = 0;
+        ps_failed = 0;
         ps_digests = Array.make spec.conns "";
       }
     in
-    Hashtbl.replace t.traffic spec.port ps;
+    Itbl.replace t.traffic spec.port ps;
     for i = 0 to spec.conns - 1 do
       let cl =
         {
@@ -833,7 +810,7 @@ module Traffic = struct
           cl_sent_at = Queue.create ();
           cl_span = Queue.create ();
           cl_txq = [];
-          cl_resp = Buffer.create 256;
+          cl_rx = [];
           cl_finished = false;
           cl_fails = 0;
         }
@@ -852,6 +829,9 @@ module Traffic = struct
 
   let retransmits t ~port =
     match port_state t port with Some ps -> ps.ps_retrans | None -> 0
+
+  let failed t ~port =
+    match port_state t port with Some ps -> ps.ps_failed | None -> 0
 
   let digest t ~port =
     match port_state t port with

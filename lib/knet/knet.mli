@@ -17,6 +17,9 @@
 
 type t
 
+(** The traffic generator's event queue, exposed for its tests. *)
+module Event_heap = Event_heap
+
 (** [create kernel] builds an empty stack and registers its [net.*]
     kstats on the kernel's registry.  [rcvbuf]/[sndbuf] bound each
     connection's receive and send queues in bytes. *)
@@ -65,8 +68,10 @@ val send : t -> sock:int -> data:Bytes.t -> (int, Kvfs.Vtypes.errno) result
 val send_space : t -> sock:int -> (int, Kvfs.Vtypes.errno) result
 
 (** Kernel-internal send used by the socket sendfile path: the payload
-    was staged from the page cache through the shared transmit region,
-    so no user-copy bytes are charged; counted in [net.sendfile.bytes]. *)
+    was read from the page cache by the kernel and goes straight into
+    the send queue, so no user-copy bytes are charged; counted in
+    [net.sendfile.bytes], with the transmit size in the
+    [net.sendfile.stage_high_water] gauge. *)
 val send_kernel : t -> sock:int -> Bytes.t -> (int, Kvfs.Vtypes.errno) result
 
 (** Close a socket, epoll instance or listener (idempotent).  Closing a
@@ -85,10 +90,11 @@ val epoll_ctl :
   (unit, Kvfs.Vtypes.errno) result
 
 (** Level-triggered wait: returns up to [max] ready [(cookie, mask)]
-    pairs in socket-creation order.  When nothing is ready but network
-    events are pending, blocks the current process (clock advances as
-    I/O wait) until an event makes a registered socket ready; returns
-    [[]] only when the traffic heap is exhausted and nothing is ready. *)
+    pairs in ascending socket id (socket-creation order).  When nothing
+    is ready but network events are pending, blocks the current process
+    (clock advances as I/O wait) until an event makes a registered
+    socket ready; returns [[]] only when the traffic heap is exhausted
+    and nothing is ready. *)
 val epoll_wait :
   t -> ep:int -> max:int -> ((int * int) list, Kvfs.Vtypes.errno) result
 
@@ -101,11 +107,6 @@ val epoll_wait :
     [Instrument.Backlog_drop] event naming the port). *)
 
 val inject_connect : t -> port:int -> int option
-
-(** Like {!inject_connect} but with the rejection reason: [ETIMEDOUT]
-    when the backlog dropped the SYN (the client times out), and
-    [ECONNREFUSED] when no listener owns the port. *)
-val inject_connect_result : t -> port:int -> (int, Kvfs.Vtypes.errno) result
 
 (** Returns how many bytes fit in the receive buffer. *)
 val inject_bytes : t -> sock:int -> string -> int
@@ -149,17 +150,17 @@ module Traffic : sig
       the congestion signal a server's load-shedding can watch. *)
   val retransmits : t -> port:int -> int
 
+  (** Connections a client abandoned because its 15th consecutive
+      retransmit was dropped too (TCP's [tcp_retries2] default): the
+      client stops, the server sees HUP, and the connection never
+      completes. *)
+  val failed : t -> port:int -> int
+
   (** Digest over every connection's full response byte stream, in
       connection-arrival order — equal iff two runs served byte-identical
       streams. *)
   val digest : t -> port:int -> string
 end
-
-(** Network events not yet delivered. *)
-val pending_events : t -> int
-
-(** Process every event due at or before the current clock. *)
-val pump : t -> unit
 
 (** Advance the clock (as I/O wait) to the next pending event and
     process it; [false] when the heap is empty. *)

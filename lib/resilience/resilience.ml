@@ -270,7 +270,11 @@ let run_on t =
       let r = Workloads.Webserver.run_net ~config:net_config sys in
       Buffer.add_string buf r.Workloads.Webserver.n_digest;
       add_int r.Workloads.Webserver.n_served;
-      add_int r.Workloads.Webserver.n_completed);
+      add_int r.Workloads.Webserver.n_completed;
+      (* a client that ran out of retransmits failed its connection *)
+      let net = Ksyscall.Systable.net sys in
+      if Knet.Traffic.failed net ~port:net_config.port > 0 then
+        note "net" "abandoned");
 
   {
     r_cycles = Ksim.Kernel.now kernel;

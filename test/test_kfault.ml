@@ -272,6 +272,25 @@ let test_net_backoff_recovers () =
   Alcotest.(check bool) "backoff cycles charged" true
     (counter_value t "retry.net_backoff_cycles" >= 1)
 
+(* Every wire frame dropped (the plan `kfault_tool run-plan
+   net.wire_drop=nth:1` arms): each client retransmits through its
+   budget, then abandons the connection; the run still ends, and the
+   abandonment is counted and surfaced as a clean failure. *)
+let test_net_retransmit_budget () =
+  let plan = { Kfault.site = "net.wire_drop"; trigger = Kfault.Every_nth 1 } in
+  let r, t = Resilience.run_with ~plans:[ plan ] () in
+  let port = Workloads.Webserver.net_default_config.port in
+  let failed = Knet.Traffic.failed (Core.net t) ~port in
+  Alcotest.(check bool) "connections abandoned" true (failed > 0);
+  Alcotest.(check int) "no connection completed" 0
+    (Knet.Traffic.completed (Core.net t) ~port);
+  Alcotest.(check int) "15 retransmits per abandoned connection"
+    (15 * failed)
+    (counter_value t "retry.net_retransmits");
+  Alcotest.(check bool) "abandonment surfaced" true
+    (List.mem "net:abandoned" r.Resilience.r_errs);
+  Alcotest.(check (option string)) "nothing escaped" None r.Resilience.r_escaped
+
 (* --- twin determinism (qcheck) ----------------------------------------- *)
 
 let sites =
@@ -375,6 +394,8 @@ let () =
             test_kopt_invalidation_recompiles;
           Alcotest.test_case "net backoff recovers" `Quick
             test_net_backoff_recovers;
+          Alcotest.test_case "net retransmit budget" `Quick
+            test_net_retransmit_budget;
         ] );
       ( "determinism",
         [ QCheck_alcotest.to_alcotest qcheck_twin_determinism ] );

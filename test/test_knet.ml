@@ -280,6 +280,240 @@ let test_deterministic_replay () =
       Alcotest.(check int) "same crossings" x1 x2)
     [ Workloads.Webserver.Net_naive; Workloads.Webserver.Net_ring ]
 
+(* --- properties -------------------------------------------------------- *)
+
+(* The event heap against a list model: every pop returns the earliest
+   pending push by due cycle, ties in push order (a stable sort by
+   (due, seq)), and [top_due] always names the due of the next pop. *)
+let qcheck_event_heap_order =
+  QCheck.Test.make ~name:"pops in stable (due, seq) order" ~count:300
+    QCheck.(list_of_size Gen.(int_bound 200) (option (int_bound 20)))
+    (fun ops ->
+      let h = Knet.Event_heap.create ~dummy:(-1) in
+      let pending = ref [] and seq = ref 0 in
+      let pop_one () =
+        let sorted =
+          List.stable_sort (fun (d1, _) (d2, _) -> compare d1 d2)
+            (List.rev !pending)
+        in
+        match sorted with
+        | [] -> Knet.Event_heap.is_empty h && Knet.Event_heap.top_due h = max_int
+        | (due, s) :: _ ->
+            pending := List.filter (fun (_, s') -> s' <> s) !pending;
+            Knet.Event_heap.top_due h = due && Knet.Event_heap.pop h = s
+      in
+      (* as many pops again as there were ops: drains the heap, then
+         checks it reads empty *)
+      List.for_all
+        (function
+          | Some due ->
+              Knet.Event_heap.push h ~due !seq;
+              pending := (due, !seq) :: !pending;
+              incr seq;
+              true
+          | None -> pop_one ())
+        (ops @ List.map (fun _ -> None) ops))
+
+(* The receive queue is a FIFO whatever the interleaving of injects and
+   reads, across its compactions and growth: the bytes read back are
+   exactly the bytes that fit, in order. *)
+let qcheck_recv_stream =
+  QCheck.Test.make ~name:"recv returns injected bytes in order" ~count:200
+    QCheck.(list (pair bool (int_range 1 3000)))
+    (fun ops ->
+      let _kernel, net = bare ~rcvbuf:4096 () in
+      let _s = listener net in
+      let conn = Option.get (Knet.inject_connect net ~port:80) in
+      let sent = Buffer.create 1024 and got = Buffer.create 1024 in
+      let next = ref 0 in
+      List.iter
+        (fun (inject, n) ->
+          if inject then begin
+            let s =
+              String.init n (fun i -> Char.chr (((!next + i) * 31) land 255))
+            in
+            next := !next + n;
+            let fit = Knet.inject_bytes net ~sock:conn s in
+            Buffer.add_string sent (String.sub s 0 fit)
+          end
+          else
+            match Knet.recv net ~sock:conn ~len:n with
+            | Ok b -> Buffer.add_bytes got b
+            | Error _ -> ())
+        ops;
+      (match Knet.recv net ~sock:conn ~len:max_int with
+      | Ok b -> Buffer.add_bytes got b
+      | Error _ -> ());
+      Buffer.contents sent = Buffer.contents got)
+
+(* What the pre-ordered-set epoll did: fold the interest table into a
+   list, sort it by socket id, and take the first [max] ready entries.
+   It is the reference for the ordered scan. *)
+let reference_scan interest ready max =
+  let entries =
+    Hashtbl.fold
+      (fun id (mask, cookie) acc -> (id, mask, cookie) :: acc)
+      interest []
+  in
+  let entries = List.sort (fun (a, _, _) (b, _, _) -> compare a b) entries in
+  let rec collect n acc = function
+    | [] -> List.rev acc
+    | _ when n >= max -> List.rev acc
+    | (id, mask, cookie) :: rest ->
+        let r = ready id land (mask lor Knet.ep_hup) in
+        if r <> 0 then collect (n + 1) ((cookie, r) :: acc) rest
+        else collect n acc rest
+  in
+  collect 0 [] entries
+
+type ep_op =
+  | Connect
+  | Accept
+  | Add of int * int * int  (* socket index, mask choice, cookie *)
+  | Del of int
+  | Close of int            (* closes a connection, never the listener *)
+  | Inject of int * int
+  | Recv of int * int
+  | Fin of int
+  | Wait of int
+
+let gen_ep_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Connect);
+        (1, return Accept);
+        (4, map3 (fun i m c -> Add (i, m, c)) nat (int_bound 3) (int_bound 999));
+        (1, map (fun i -> Del i) nat);
+        (1, map (fun i -> Close i) nat);
+        (2, map2 (fun i n -> Inject (i, n)) nat (int_range 1 8));
+        (2, map2 (fun i n -> Recv (i, n)) nat (int_range 1 8));
+        (1, map (fun i -> Fin i) nat);
+        (3, map (fun m -> Wait m) (int_bound 6));
+      ])
+
+let pp_ep_op = function
+  | Connect -> "connect"
+  | Accept -> "accept"
+  | Add (i, m, c) -> Printf.sprintf "add(%d,%d,%d)" i m c
+  | Del i -> Printf.sprintf "del %d" i
+  | Close i -> Printf.sprintf "close %d" i
+  | Inject (i, n) -> Printf.sprintf "inject(%d,%d)" i n
+  | Recv (i, n) -> Printf.sprintf "recv(%d,%d)" i n
+  | Fin i -> Printf.sprintf "fin %d" i
+  | Wait m -> Printf.sprintf "wait %d" m
+
+(* Random registrations, closes and readiness changes on one epoll
+   instance.  A model tracks each socket's readiness; every wait must
+   return what the reference scan over the model's interest table
+   returns: the first [max] ready sockets, ascending by id. *)
+let qcheck_epoll_order =
+  QCheck.Test.make ~name:"epoll_wait returns the first max ready by id"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_ep_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) gen_ep_op))
+    (fun ops ->
+      let _kernel, net = bare () in
+      let backlog = 64 in
+      let lsn = listener ~backlog net in
+      let ep = Knet.epoll_create net in
+      (* model: queued accepts, and per connection its queued bytes,
+         FIN and whether it is closed *)
+      let queued = ref 0 in
+      let conns = ref [||] in
+      let bytes = Hashtbl.create 16 and fin = Hashtbl.create 16 in
+      let closed = Hashtbl.create 16 in
+      let interest = Hashtbl.create 16 in
+      let sock_at i =
+        let n = Array.length !conns in
+        if i mod (n + 1) = n then lsn else !conns.(i mod (n + 1))
+      in
+      let conn_at i =
+        let n = Array.length !conns in
+        if n = 0 then None else Some !conns.(i mod n)
+      in
+      let ready id =
+        if id = lsn then if !queued > 0 then Knet.ep_in else 0
+        else if Hashtbl.mem closed id then 0
+        else
+          let f = Hashtbl.mem fin id in
+          (if Hashtbl.find bytes id > 0 || f then Knet.ep_in else 0)
+          lor (if f then Knet.ep_hup else 0)
+          lor Knet.ep_out
+      in
+      let masks = [| 0; Knet.ep_in; Knet.ep_out; Knet.ep_in lor Knet.ep_out |] in
+      let check max =
+        Knet.epoll_wait net ~ep ~max = Ok (reference_scan interest ready max)
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Connect ->
+              (match Knet.inject_connect net ~port:80 with
+              | Some id ->
+                  incr queued;
+                  conns := Array.append !conns [| id |];
+                  Hashtbl.replace bytes id 0
+              | None -> ());
+              !queued <= backlog
+          | Accept ->
+              let r = Knet.accept net ~sock:lsn in
+              if !queued > 0 then (decr queued; Result.is_ok r)
+              else r = Error Kvfs.Vtypes.EAGAIN
+          | Add (i, m, cookie) ->
+              let sock = sock_at i in
+              let r =
+                Knet.epoll_ctl net ~ep ~sock ~op:(`Add (masks.(m), cookie))
+              in
+              if Hashtbl.mem closed sock then r = Error Kvfs.Vtypes.EBADF
+              else begin
+                Hashtbl.replace interest sock (masks.(m), cookie);
+                r = Ok ()
+              end
+          | Del i ->
+              let sock = sock_at i in
+              Hashtbl.remove interest sock;
+              Knet.epoll_ctl net ~ep ~sock ~op:`Del = Ok ()
+          | Close i -> (
+              match conn_at i with
+              | None -> true
+              | Some sock ->
+                  Knet.close net ~sock;
+                  Hashtbl.replace closed sock ();
+                  Hashtbl.remove interest sock;
+                  true)
+          | Inject (i, n) -> (
+              match conn_at i with
+              | None -> true
+              | Some sock ->
+                  let fit = Knet.inject_bytes net ~sock (String.make n 'x') in
+                  if Hashtbl.mem closed sock then fit = 0
+                  else begin
+                    Hashtbl.replace bytes sock (Hashtbl.find bytes sock + fit);
+                    fit = n
+                  end)
+          | Recv (i, n) -> (
+              match conn_at i with
+              | None -> true
+              | Some sock ->
+                  ignore (Knet.recv net ~sock ~len:n);
+                  if not (Hashtbl.mem closed sock) then
+                    Hashtbl.replace bytes sock
+                      (Stdlib.max 0 (Hashtbl.find bytes sock - n));
+                  true)
+          | Fin i -> (
+              match conn_at i with
+              | None -> true
+              | Some sock ->
+                  Knet.inject_fin net ~sock;
+                  if not (Hashtbl.mem closed sock) then
+                    Hashtbl.replace fin sock ();
+                  true)
+          | Wait max -> check max)
+        ops
+      && check 1000)
+
 let () =
   Alcotest.run "knet"
     [
@@ -310,5 +544,11 @@ let () =
         [
           Alcotest.test_case "identical runs replay bit-for-bit" `Quick
             test_deterministic_replay;
+        ] );
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest qcheck_event_heap_order;
+          QCheck_alcotest.to_alcotest qcheck_recv_stream;
+          QCheck_alcotest.to_alcotest qcheck_epoll_order;
         ] );
     ]
