@@ -1,4 +1,4 @@
-.PHONY: all build test sim-identity bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke examples check clean
+.PHONY: all build test sim-identity bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kprof-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke examples check clean
 
 all: build
 
@@ -89,6 +89,12 @@ kperf-smoke:
 	dune exec bin/kperf_tool.exe -- top /tmp/kperf_smoke.json
 	rm -f /tmp/kperf_smoke.json
 
+# Sample the host call stack over one small journalfs run and print the
+# hottest frames: exercises the profiler end to end in well under a
+# second (use -r to repeat the workload for a steadier profile).
+kprof-smoke:
+	dune exec bin/kprof_tool.exe -- -w postmark --fs journalfs -n 5
+
 # Learn a workload's syscall-flow automaton, verify a clean re-run is
 # violation-free, and confirm a different workload trips the gate —
 # exercises the whole kverify learn/enforce pipeline.
@@ -144,7 +150,7 @@ perfbench-smoke:
 	    --seconds 1 --trace 0 || exit 1; \
 	done
 
-check: build test examples bench-smoke kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke
+check: build test examples bench-smoke kperf-smoke kprof-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke perfbench-smoke
 
 clean:
 	dune clean

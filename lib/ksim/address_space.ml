@@ -12,6 +12,7 @@ type handler = Fault.t -> resolution
 type t = {
   name : string;
   page_size : int;
+  page_shift : int;                  (* log2 page_size *)
   mem : Phys_mem.t;
   pt : Page_table.t;
   tlb : Tlb.t;
@@ -24,10 +25,17 @@ type t = {
   mutable segment : Segment.t;       (* active segment for checked access *)
 }
 
+(* The page size is a power of two ([Phys_mem.create] insists). *)
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
 let create ?(stats = Kstats.create ()) ~name ~mem ~clock ~cost () =
+  let page_size = Phys_mem.page_size mem in
   {
     name;
-    page_size = Phys_mem.page_size mem;
+    page_size;
+    page_shift = log2 page_size;
     mem;
     pt = Page_table.create ();
     tlb = Tlb.create ();
@@ -46,8 +54,13 @@ let page_table t = t.pt
 let phys_mem t = t.mem
 let tlb t = t.tlb
 
-let vpn_of t addr = addr / t.page_size
-let offset_of t addr = addr mod t.page_size
+(* A shift and a mask.  They differ from [/] and [mod] only on negative
+   addresses, and those never reach the MMU: segments start at or above
+   0, so every such access takes a segment fault first (in [read_int]
+   and [write_int], the same fault down either the in-page or the
+   chunked path). *)
+let vpn_of t addr = addr asr t.page_shift
+let offset_of t addr = addr land (t.page_size - 1)
 
 (* Fault-handler stack: Kefence pushes its handler on top of the default
    one, exactly like hooking the page-fault handler in the paper. *)

@@ -10,7 +10,8 @@ type t = {
 }
 
 let create ~page_size =
-  if page_size <= 0 then invalid_arg "Phys_mem.create: page_size";
+  if page_size <= 0 || page_size land (page_size - 1) <> 0 then
+    invalid_arg "Phys_mem.create: page_size";
   {
     page_size;
     frames = Array.make 64 None;

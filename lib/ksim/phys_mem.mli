@@ -7,7 +7,9 @@
 type t
 
 (** [create ~page_size] makes an empty pool of [page_size]-byte frames.
-    @raise Invalid_argument if [page_size <= 0]. *)
+    A power-of-two page size lets address translation split an address
+    with a shift and a mask.
+    @raise Invalid_argument unless [page_size] is a power of two. *)
 val create : page_size:int -> t
 
 val page_size : t -> int

@@ -1,12 +1,15 @@
 (* Page-table entry.  The [guardian] bit is what Kefence relies on: a
    guardian PTE is present in the page table but has both read and write
-   permission disabled, so any access traps with reason [Guardian]. *)
+   permission disabled, so any access traps with reason [Guardian].
+   A PTE is immutable: changing a page's mapping means binding a new PTE
+   ([Page_table.remap]), which keeps the page table's lookup cache
+   coherent. *)
 
 type t = {
-  mutable frame : int option; (* None for guardian PTEs: no backing frame *)
-  mutable readable : bool;
-  mutable writable : bool;
-  mutable guardian : bool;
+  frame : int option; (* None for guardian PTEs: no backing frame *)
+  readable : bool;
+  writable : bool;
+  guardian : bool;
 }
 
 let normal ~frame ~writable = { frame = Some frame; readable = true; writable; guardian = false }

@@ -5,10 +5,12 @@
 type t = { slots : int array (* slot i holds a vpn, or -1 *) }
 
 let create ?(slots = 64) () =
-  if slots <= 0 then invalid_arg "Tlb.create: slots";
+  if slots <= 0 || slots land (slots - 1) <> 0 then invalid_arg "Tlb.create: slots";
   { slots = Array.make slots (-1) }
 
-let slot_of t vpn = vpn mod Array.length t.slots
+(* [slots] is a power of two, so this is [vpn mod slots] for the
+   non-negative vpns translation produces. *)
+let slot_of t vpn = vpn land (Array.length t.slots - 1)
 
 (* Returns [true] on hit.  On miss, installs the translation.  The
    caller counts: Address_space keeps [tlb.<space>.hits/misses]. *)

@@ -9,7 +9,7 @@
 type t
 
 (** [create ~slots ()] makes a direct-mapped TLB ([slots] defaults to 64).
-    @raise Invalid_argument if [slots <= 0]. *)
+    @raise Invalid_argument unless [slots] is a power of two. *)
 val create : ?slots:int -> unit -> t
 
 (** [access t ~vpn] returns [true] on hit; on miss the translation is

@@ -42,6 +42,7 @@ type t = {
   site_eagain : Kfault.site;
   st_eintr_restarts : Kstats.counter;
   st_eagain_injected : Kstats.counter;
+  mutable eagain_streak : int;  (* consecutive injected EAGAINs *)
 }
 
 let n_sysnos = List.length Sysno.all
@@ -64,16 +65,34 @@ let create ?root_fs ?dcache_shards kernel =
       Kstats.counter (Ksim.Kernel.stats kernel) "retry.eintr_restarts";
     st_eagain_injected =
       Kstats.counter (Ksim.Kernel.stats kernel) "retry.eagain_injected";
+    eagain_streak = 0;
   }
 
 let kernel t = t.kernel
 let fault t = t.fault
 let eintr_site t = t.site_eintr
-let eagain_site t = t.site_eagain
 
 let count_eintr_restart t = Kstats.incr t.st_eintr_restarts
 
-let count_eagain_injected t = Kstats.incr t.st_eagain_injected
+(* The EAGAIN budget: after this many injected EAGAINs in a row, the
+   next call is let through without consulting the site, so a plan that
+   fires on every call cannot starve a readiness loop forever. *)
+let eagain_budget = 8
+
+let inject_eagain t =
+  if t.eagain_streak >= eagain_budget then begin
+    t.eagain_streak <- 0;
+    false
+  end
+  else if Kfault.fire t.fault t.site_eagain then begin
+    t.eagain_streak <- t.eagain_streak + 1;
+    Kstats.incr t.st_eagain_injected;
+    true
+  end
+  else begin
+    t.eagain_streak <- 0;
+    false
+  end
 
 let vfs t = t.vfs
 let net t = t.net

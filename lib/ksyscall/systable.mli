@@ -30,9 +30,13 @@ val vfs : t -> Kvfs.Vfs.t
 val fault : t -> Kfault.t
 
 val eintr_site : t -> Kfault.site
-val eagain_site : t -> Kfault.site
 val count_eintr_restart : t -> unit
-val count_eagain_injected : t -> unit
+
+(** Whether a [Recv]/[Accept] gets a spurious EAGAIN: the
+    [syscall.eagain] site fired (counted in [retry.eagain_injected]).
+    After 8 injections in a row the next call is let through without
+    consulting the site, and the streak starts over. *)
+val inject_eagain : t -> bool
 
 (** The simulated socket stack booted alongside the VFS. *)
 val net : t -> Knet.t

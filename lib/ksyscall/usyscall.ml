@@ -219,7 +219,10 @@ let invoke ?(origin = Plain) sys (req : Syscall.req) : Syscall.reply =
          Spurious EAGAIN: the wakeup raced the readiness check.  Only
          injected on [Recv]/[Accept] — the calls whose contract already
          includes would-block — so callers' existing retry loops absorb
-         it (retry.eagain_injected). *)
+         it (retry.eagain_injected).  Like EINTR it has a budget: after
+         8 injections in a row the next such call goes through, so a
+         plan hammering the site slows the caller down but cannot stop
+         it. *)
       let denied =
         match denied with
         | Some _ -> denied
@@ -240,9 +243,7 @@ let invoke ?(origin = Plain) sys (req : Syscall.req) : Syscall.reply =
             if eintr <> None then eintr
             else begin
               match req with
-              | Syscall.Recv _ | Syscall.Accept _
-                when Kfault.fire fa (Systable.eagain_site sys) ->
-                  Systable.count_eagain_injected sys;
+              | (Syscall.Recv _ | Syscall.Accept _) when Systable.inject_eagain sys ->
                   Some Kvfs.Vtypes.EAGAIN
               | _ -> None
             end

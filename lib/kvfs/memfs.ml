@@ -16,10 +16,12 @@ type inode = {
   refcount : Ksim.Refcount.t;
 }
 
+(* Entries in arrival order.  Sequence numbers are unique within a
+   directory, so they alone order the entries. *)
 let dir_entries d =
-  Hashtbl.fold (fun name (ino, seq) acc -> (seq, name, ino) :: acc) d.children []
-  |> List.sort compare
-  |> List.map (fun (_, name, ino) -> (name, ino))
+  Hashtbl.fold (fun name (ino, seq) acc -> (seq, (name, ino)) :: acc) d.children []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
 let dir_add d name ino =
   Hashtbl.replace d.children name (ino, d.child_seq);

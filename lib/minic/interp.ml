@@ -19,7 +19,13 @@
    addressable, and the compiled target of a call to one of the
    program's own functions.  Running code then only executes closures,
    with the same charges, memory accesses and object events, in the same
-   order, as a walk over the AST would produce. *)
+   order, as a walk over the AST would produce.
+
+   Two load-time folds keep the closures few and cheap without moving
+   any of that.  A leaf operand (a register local or a constant) is read
+   inline by its parent rather than through a closure of its own, and
+   charges with nothing observable between them (a node's own charge,
+   its first child's, a leaf's) are taken at once by [charge_n]. *)
 
 exception Runtime_error of string * Ast.loc
 exception Step_limit
@@ -121,6 +127,20 @@ let[@inline] charge t =
   if t.steps > t.max_steps then raise Step_limit;
   Ksim.Sim_clock.advance t.clock t.cost.Ksim.Cost_model.cpu_op
 
+(* [n] adjacent charges with nothing observable between them, as one
+   when the step budget covers all of them.  Otherwise they are taken
+   one by one, so [Step_limit] fires at the same step with the same
+   clock as [n] separate charges. *)
+let[@inline] charge_n t n =
+  if t.steps + n <= t.max_steps then begin
+    t.steps <- t.steps + n;
+    Ksim.Sim_clock.advance t.clock (n * t.cost.Ksim.Cost_model.cpu_op)
+  end
+  else
+    for _ = 1 to n do
+      charge t
+    done
+
 let align8 n = (n + 7) land lnot 7
 
 exception Out_of_interp_memory
@@ -196,14 +216,13 @@ let store_fn t pc : Ast.ty -> int -> int -> unit = function
   | Ast.Tvoid | Ast.Tint | Ast.Tptr _ | Ast.Tarray _ ->
       fun addr v -> Ksim.Address_space.write_int ?pc t.space ~addr v
 
-(* A node that charges, computes an address and loads a value of type
-   [ty] from it; arrays decay to their base address without an access. *)
-let load_node t pc ty (addr : frame -> int) : frame -> int =
+(* Load a value of type [ty] from [addr]; an array decays to its base
+   address without an access. *)
+let[@inline] load t pc ty addr =
   match ty with
-  | Ast.Tchar -> fun f -> charge t; Ksim.Address_space.read_u8 ?pc t.space ~addr:(addr f)
-  | Ast.Tarray _ -> fun f -> charge t; addr f
-  | Ast.Tvoid | Ast.Tint | Ast.Tptr _ ->
-      fun f -> charge t; Ksim.Address_space.read_int ?pc t.space ~addr:(addr f)
+  | Ast.Tchar -> Ksim.Address_space.read_u8 ?pc t.space ~addr
+  | Ast.Tarray _ -> addr
+  | Ast.Tvoid | Ast.Tint | Ast.Tptr _ -> Ksim.Address_space.read_int ?pc t.space ~addr
 
 (* --- builtins ----------------------------------------------------------- *)
 
@@ -277,6 +296,28 @@ type binding =
 (* A compiled lvalue: a register slot, or code computing an address. *)
 type lval = Lreg of int * Ast.ty | Lmem of (frame -> int) * Ast.ty
 
+(* A compiled operand.  A leaf (a register local, or an int, char or
+   sizeof constant) costs one [cpu_op] charge to read and nothing else
+   observable, so the parent node takes that charge together with its
+   own and reads the value inline instead of calling code for it. *)
+type operand =
+  | Leaf of int * int  (* frame slot, or -1 for the constant that follows *)
+  | Node of (frame -> int)
+
+let[@inline] leaf f slot k = if slot < 0 then k else f.(slot)
+
+(* A binop's operator with its pointer scale, fixed at load time.
+   [apply] is inlined into the node's code, so applying the operator is
+   a branch, not a closure call. *)
+type arith =
+  | Add | Sub | Mul | Div | Mod
+  | Eq | Ne | Lt | Le | Gt | Ge
+  | Band | Bor | Bxor | Shl | Shr
+  | Ptr_add of int       (* pointer + int, the int scaled *)
+  | Int_ptr_add of int   (* int + pointer, the int scaled *)
+  | Ptr_sub of int       (* pointer - int, the int scaled *)
+  | Ptr_diff of int      (* (pointer - pointer) / scale *)
+
 (* Compile-time state for one function.  The bindings in scope travel
    separately as an [env] list, innermost and latest first; names not in
    it are the program's globals. *)
@@ -320,125 +361,204 @@ let elem_ty (e : Ast.expr) =
 
 let of_bool b = if b then 1 else 0
 
+let[@inline] apply loc op va vb =
+  match op with
+  | Add -> va + vb
+  | Sub -> va - vb
+  | Mul -> va * vb
+  | Div -> if vb = 0 then rt_err loc "division by zero"; va / vb
+  | Mod -> if vb = 0 then rt_err loc "modulo by zero"; va mod vb
+  | Eq -> of_bool (va = vb)
+  | Ne -> of_bool (va <> vb)
+  | Lt -> of_bool (va < vb)
+  | Le -> of_bool (va <= vb)
+  | Gt -> of_bool (va > vb)
+  | Ge -> of_bool (va >= vb)
+  | Band -> va land vb
+  | Bor -> va lor vb
+  | Bxor -> va lxor vb
+  | Shl -> va lsl vb
+  | Shr -> va asr vb
+  | Ptr_add scale -> va + (vb * scale)
+  | Int_ptr_add scale -> (va * scale) + vb
+  | Ptr_sub scale -> va - (vb * scale)
+  | Ptr_diff scale -> (va - vb) / scale
+
+(* The operator of a non-logical binop, given its operand types. *)
+let arith_of op ta tb =
+  match (op, ta, tb) with
+  | Ast.Add, (Ast.Tptr e | Ast.Tarray (e, _)), _ -> Ptr_add (Ast.sizeof e)
+  | Ast.Add, _, (Ast.Tptr e | Ast.Tarray (e, _)) -> Int_ptr_add (Ast.sizeof e)
+  | Ast.Add, _, _ -> Add
+  | Ast.Sub, (Ast.Tptr e | Ast.Tarray (e, _)), (Ast.Tptr _ | Ast.Tarray _) ->
+      Ptr_diff (Ast.sizeof e)
+  | Ast.Sub, (Ast.Tptr e | Ast.Tarray (e, _)), _ -> Ptr_sub (Ast.sizeof e)
+  | Ast.Sub, _, _ -> Sub
+  | Ast.Mul, _, _ -> Mul
+  | Ast.Div, _, _ -> Div
+  | Ast.Mod, _, _ -> Mod
+  | Ast.Eq, _, _ -> Eq
+  | Ast.Ne, _, _ -> Ne
+  | Ast.Lt, _, _ -> Lt
+  | Ast.Le, _, _ -> Le
+  | Ast.Gt, _, _ -> Gt
+  | Ast.Ge, _, _ -> Ge
+  | Ast.Bitand, _, _ -> Band
+  | Ast.Bitor, _, _ -> Bor
+  | Ast.Bitxor, _, _ -> Bxor
+  | Ast.Shl, _, _ -> Shl
+  | Ast.Shr, _, _ -> Shr
+  | (Ast.Logand | Ast.Logor), _, _ -> invalid_arg "Interp.arith_of: logical operator"
+
 let check_depth t fn =
   if t.depth > 2_000 then
     rt_err fn.src.Ast.floc "call depth limit exceeded in %s" fn.src.Ast.fname
 
 let arity_mismatch fn = rt_err fn.src.Ast.floc "%s: arity mismatch" fn.src.Ast.fname
 
-let const t n _ = charge t; n
+(* Charges owed.  Every node's code starts with its own charge.  When a
+   node's first act after that charge is to run a child node's code, the
+   two charges are adjacent with nothing observable between them, so the
+   parent leaves its charge to the child: each [compile_*] below takes
+   [owed], the number of such charges handed down by the enclosing
+   nodes, and the code takes them together with its own first charge in
+   one [charge_n].  [Step_limit] still fires at the same step with the
+   same clock (see [charge_n]). *)
 
-let rec compile_expr c env (e : Ast.expr) : frame -> int =
+let const t n k _ = charge_n t n; k
+
+let rec compile_expr c env ?(owed = 0) (e : Ast.expr) : frame -> int =
   let t = c.t in
+  let n = owed + 1 in
   let loc = e.Ast.eloc in
   match e.Ast.e with
-  | Ast.Int_lit n -> const t n
-  | Ast.Char_lit ch -> const t (Char.code ch)
+  | Ast.Int_lit k -> const t n k
+  | Ast.Char_lit ch -> const t n (Char.code ch)
   | Ast.Str_lit s ->
       (* interned on first evaluation, as a walk would *)
       let addr = ref (-1) in
       fun _ ->
-        charge t;
+        charge_n t n;
         if !addr < 0 then addr := intern_literal t s;
         !addr
-  | Ast.Sizeof_ty ty -> const t (Ast.sizeof ty)
+  | Ast.Sizeof_ty ty -> const t n (Ast.sizeof ty)
   | Ast.Var name -> (
+      let pc = loc_pc loc in
       match lookup c env e name with
-      | Reg (s, _) -> fun f -> charge t; f.(s)
-      | Stk (s, ty) -> load_node t (loc_pc loc) ty (fun f -> f.(s))
-      | Glob (a, ty) -> load_node t (loc_pc loc) ty (fun _ -> a))
+      | Reg (s, _) -> fun f -> charge_n t n; f.(s)
+      | Stk (s, ty) -> fun f -> charge_n t n; load t pc ty f.(s)
+      | Glob (a, ty) -> fun _ -> charge_n t n; load t pc ty a)
   | Ast.Unop (op, a) -> (
-      let ca = compile_expr c env a in
+      let ca = compile_expr c env ~owed:n a in
       match op with
-      | Ast.Neg -> fun f -> charge t; -ca f
-      | Ast.Lognot -> fun f -> charge t; of_bool (ca f = 0)
-      | Ast.Bitnot -> fun f -> charge t; lnot (ca f))
-  | Ast.Deref a -> load_node t (loc_pc loc) (elem_ty a) (compile_expr c env a)
+      | Ast.Neg -> fun f -> -ca f
+      | Ast.Lognot -> fun f -> of_bool (ca f = 0)
+      | Ast.Bitnot -> fun f -> lnot (ca f))
+  | Ast.Deref a ->
+      let pc = loc_pc loc and ty = elem_ty a in
+      let ca = compile_expr c env ~owed:n a in
+      fun f -> load t pc ty (ca f)
   | Ast.Addr_of a -> (
       match compile_lval c env a with
-      | Lmem (addr, _) -> fun f -> charge t; addr f
+      | Lmem (addr, _) -> fun f -> charge_n t n; addr f
       | Lreg _ ->
           (* [&(char)x] is an lvalue the typechecker does not mark *)
-          fun _ -> charge t; rt_err loc "address of register variable")
-  | Ast.Index (a, i) ->
-      let ty = elem_ty a in
-      load_node t (loc_pc loc) ty (index_addr c env a i ty)
-  | Ast.Binop (op, a, b) -> compile_binop c env loc op a b
+          fun _ -> charge_n t n; rt_err loc "address of register variable")
+  | Ast.Index (a, i) -> (
+      let pc = loc_pc loc and ty = elem_ty a in
+      match (leaf_of c env a, leaf_of c env i) with
+      | Some (sa, ka), Some (si, ki) ->
+          let scale = Ast.sizeof ty in
+          fun f ->
+            charge_n t (n + 2);
+            load t pc ty (leaf f sa ka + (leaf f si ki * scale))
+      | _ ->
+          let addr = index_addr c env ~owed:n a i ty in
+          fun f -> load t pc ty (addr f))
+  | Ast.Binop (op, a, b) -> compile_binop c env ~owed:n loc op a b
   | Ast.Assign (lhs, rhs) -> (
       (* the right-hand side is evaluated before the lvalue *)
-      let cr = compile_expr c env rhs in
+      let cr = compile_expr c env ~owed:n rhs in
       match compile_lval c env lhs with
       | Lreg (s, ty) ->
           let mask = if ty = Ast.Tchar then 0xff else -1 in
           fun f ->
-            charge t;
             let v = cr f land mask in
             f.(s) <- v;
             v
       | Lmem (addr, ty) ->
           let store = store_fn t (loc_pc loc) ty in
           fun f ->
-            charge t;
             let v = cr f in
             store (addr f) v;
             v)
-  | Ast.Call (name, args) -> compile_call c env loc name args
+  | Ast.Call (name, args) -> compile_call c env ~owed:n loc name args
   | Ast.Cast (ty, a) ->
-      let ca = compile_expr c env a in
+      let ca = compile_expr c env ~owed:n a in
       let mask = if ty = Ast.Tchar then 0xff else -1 in
-      fun f -> charge t; ca f land mask
+      fun f -> ca f land mask
   | Ast.Cond (cond, a, b) ->
-      let cc = compile_expr c env cond in
+      let cc = compile_expr c env ~owed:n cond in
       let ca = compile_expr c env a in
       let cb = compile_expr c env b in
-      fun f -> charge t; if cc f <> 0 then ca f else cb f
+      fun f -> if cc f <> 0 then ca f else cb f
 
-and compile_binop c env loc op a b =
+(* [owed] here includes the binop's own charge. *)
+and compile_binop c env ~owed loc op a b =
   let t = c.t in
-  let ca = compile_expr c env a in
-  let cb = compile_expr c env b in
-  (* both operands are evaluated, left first, before the operator *)
-  let arith (op : int -> int -> int) f =
-    charge t;
-    let va = ca f in
-    let vb = cb f in
-    op va vb
-  in
-  match (op, ety a, ety b) with
-  | Ast.Logand, _, _ ->
-      fun f -> charge t; if ca f <> 0 then of_bool (cb f <> 0) else 0
-  | Ast.Logor, _, _ ->
-      fun f -> charge t; if ca f <> 0 then 1 else of_bool (cb f <> 0)
-  | Ast.Add, (Ast.Tptr e | Ast.Tarray (e, _)), _ ->
-      let scale = Ast.sizeof e in
-      arith (fun va vb -> va + (vb * scale))
-  | Ast.Add, _, (Ast.Tptr e | Ast.Tarray (e, _)) ->
-      let scale = Ast.sizeof e in
-      arith (fun va vb -> (va * scale) + vb)
-  | Ast.Add, _, _ -> arith ( + )
-  | Ast.Sub, (Ast.Tptr e | Ast.Tarray (e, _)), (Ast.Tptr _ | Ast.Tarray _) ->
-      let scale = Ast.sizeof e in
-      arith (fun va vb -> (va - vb) / scale)
-  | Ast.Sub, (Ast.Tptr e | Ast.Tarray (e, _)), _ ->
-      let scale = Ast.sizeof e in
-      arith (fun va vb -> va - (vb * scale))
-  | Ast.Sub, _, _ -> arith ( - )
-  | Ast.Mul, _, _ -> arith ( * )
-  | Ast.Div, _, _ ->
-      arith (fun va vb -> if vb = 0 then rt_err loc "division by zero"; va / vb)
-  | Ast.Mod, _, _ ->
-      arith (fun va vb -> if vb = 0 then rt_err loc "modulo by zero"; va mod vb)
-  | Ast.Eq, _, _ -> arith (fun va vb -> of_bool (va = vb))
-  | Ast.Ne, _, _ -> arith (fun va vb -> of_bool (va <> vb))
-  | Ast.Lt, _, _ -> arith (fun va vb -> of_bool (va < vb))
-  | Ast.Le, _, _ -> arith (fun va vb -> of_bool (va <= vb))
-  | Ast.Gt, _, _ -> arith (fun va vb -> of_bool (va > vb))
-  | Ast.Ge, _, _ -> arith (fun va vb -> of_bool (va >= vb))
-  | Ast.Bitand, _, _ -> arith ( land )
-  | Ast.Bitor, _, _ -> arith ( lor )
-  | Ast.Bitxor, _, _ -> arith ( lxor )
-  | Ast.Shl, _, _ -> arith ( lsl )
-  | Ast.Shr, _, _ -> arith ( asr )
+  match op with
+  | Ast.Logand ->
+      let ca = compile_expr c env ~owed a in
+      let cb = compile_expr c env b in
+      fun f -> if ca f <> 0 then of_bool (cb f <> 0) else 0
+  | Ast.Logor ->
+      let ca = compile_expr c env ~owed a in
+      let cb = compile_expr c env b in
+      fun f -> if ca f <> 0 then 1 else of_bool (cb f <> 0)
+  | _ -> (
+      let op = arith_of op (ety a) (ety b) in
+      (* both operands are evaluated, left first, before the operator *)
+      match (operand c env ~owed a, operand c env b) with
+      | Leaf (sa, ka), Leaf (sb, kb) ->
+          fun f ->
+            charge_n t (owed + 2);
+            apply loc op (leaf f sa ka) (leaf f sb kb)
+      | Leaf (sa, ka), Node cb ->
+          fun f ->
+            charge_n t (owed + 1);
+            let va = leaf f sa ka in
+            apply loc op va (cb f)
+      | Node ca, Leaf (sb, kb) ->
+          fun f ->
+            let va = ca f in
+            charge t;
+            apply loc op va (leaf f sb kb)
+      | Node ca, Node cb ->
+          fun f ->
+            let va = ca f in
+            apply loc op va (cb f))
+
+(* A leaf is an operand [compile_expr] would compile to a bare charge
+   and read: a constant, or a name the same env-then-globals lookup
+   binds to a register (a global stays a memory load).  Returns its
+   frame slot, or -1 and the constant. *)
+and leaf_of c env (e : Ast.expr) =
+  match e.Ast.e with
+  | Ast.Int_lit k -> Some (-1, k)
+  | Ast.Char_lit ch -> Some (-1, Char.code ch)
+  | Ast.Sizeof_ty ty -> Some (-1, Ast.sizeof ty)
+  | Ast.Var name -> (
+      match lookup c env e name with
+      | Reg (s, _) -> Some (s, 0)
+      | Stk _ | Glob _ -> None)
+  | _ -> None
+
+(* A node's code takes the [owed] charges itself; a leaf's reader takes
+   none, so its parent takes [owed] and the leaf's charge. *)
+and operand c env ?owed e =
+  match leaf_of c env e with
+  | Some (s, k) -> Leaf (s, k)
+  | None -> Node (compile_expr c env ?owed e)
 
 (* Lvalue nodes are not charged themselves; their subexpressions are. *)
 and compile_lval c env (e : Ast.expr) : lval =
@@ -451,7 +571,7 @@ and compile_lval c env (e : Ast.expr) : lval =
   | Ast.Deref a -> Lmem (compile_expr c env a, elem_ty a)
   | Ast.Index (a, i) ->
       let ty = elem_ty a in
-      Lmem (index_addr c env a i ty, ty)
+      Lmem (index_addr c env ~owed:0 a i ty, ty)
   | Ast.Cast (ty, inner) -> (
       match compile_lval c env inner with
       | Lreg (s, _) -> Lreg (s, ty)
@@ -459,26 +579,45 @@ and compile_lval c env (e : Ast.expr) : lval =
   | _ -> ill_typed e "not an lvalue"
 
 (* The address of [a[i]]: base, then index, scaled by the element size. *)
-and index_addr c env a i ty =
-  let ca = compile_expr c env a in
-  let ci = compile_expr c env i in
+and index_addr c env ~owed a i ty =
+  let t = c.t in
   let scale = Ast.sizeof ty in
-  fun f ->
-    let base = ca f in
-    let idx = ci f in
-    base + (idx * scale)
+  match (operand c env ~owed a, operand c env i) with
+  | Leaf (sa, ka), Leaf (si, ki) ->
+      fun f ->
+        charge_n t (owed + 2);
+        leaf f sa ka + (leaf f si ki * scale)
+  | Leaf (sa, ka), Node ci ->
+      fun f ->
+        charge_n t (owed + 1);
+        let base = leaf f sa ka in
+        base + (ci f * scale)
+  | Node ca, Leaf (si, ki) ->
+      fun f ->
+        let base = ca f in
+        charge t;
+        base + (leaf f si ki * scale)
+  | Node ca, Node ci ->
+      fun f ->
+        let base = ca f in
+        base + (ci f * scale)
 
 (* A call evaluates its arguments left to right, then runs the program's
    function of that name if there is one (bound now), else a registered
-   extern, else a builtin (both looked up when the call runs). *)
-and compile_call c env loc name args =
+   extern, else a builtin (both looked up when the call runs).  [owed]
+   includes the call's own charge; the first argument takes it, or the
+   call itself when there is none. *)
+and compile_call c env ~owed loc name args =
   let t = c.t in
-  let cargs = List.map (compile_expr c env) args in
+  let cargs =
+    List.mapi (fun k a -> compile_expr c env ~owed:(if k = 0 then owed else 0) a) args
+  in
+  let owed = if args = [] then owed else 0 in
   match Hashtbl.find_opt c.targets name with
   | Some fn when List.length args = List.length fn.src.Ast.params ->
       let cargs = Array.of_list cargs in
       fun f ->
-        charge t;
+        if owed > 0 then charge_n t owed;
         let callee = Array.make fn.nslots 0 in
         for k = 0 to Array.length cargs - 1 do
           callee.(k) <- cargs.(k) f
@@ -487,14 +626,14 @@ and compile_call c env loc name args =
         fn.invoke callee
   | Some fn ->
       fun f ->
-        charge t;
+        if owed > 0 then charge_n t owed;
         List.iter (fun a -> ignore (a f)) cargs;
         check_depth t fn;
         arity_mismatch fn
   | None -> (
       let pc = loc_pc loc in
       fun f ->
-        charge t;
+        if owed > 0 then charge_n t owed;
         let vals = List.map (fun a -> a f) cargs in
         match Hashtbl.find t.externs name with
         | ext -> ext t vals
@@ -508,8 +647,9 @@ and compile_call c env loc name args =
 (* Compile one statement; returns its code, the environment the
    statements after it see, and the slot and size of the stack object
    it allocates, if any. *)
-and compile_stmt c env (s : Ast.stmt) =
+and compile_stmt c env ?(owed = 0) (s : Ast.stmt) =
   let t = c.t in
+  let n = owed + 1 in
   let plain code = (code, env, None) in
   match s.Ast.s with
   | Ast.Sdecl (ty, name, init) ->
@@ -522,12 +662,12 @@ and compile_stmt c env (s : Ast.stmt) =
         (name, if addressable then Stk (slot, ty) else Reg (slot, ty)) :: env
       in
       (* the name is in scope in its own initializer *)
-      let init = Option.map (compile_expr c env) init in
       if addressable then
+        let init = Option.map (compile_expr c env) init in
         let size = Ast.sizeof ty in
         let store = store_fn t (loc_pc s.Ast.sloc) ty in
         ( (fun f ->
-            charge t;
+            charge_n t n;
             let addr = alloc_stack t size in
             f.(slot) <- addr;
             t.on_obj (Obj_alloc { base = addr; size; kind = Stack; name });
@@ -536,25 +676,28 @@ and compile_stmt c env (s : Ast.stmt) =
           Some (slot, size) )
       else
         (* a register local starts at 0 each time its declaration runs *)
-        ( (fun f ->
-            charge t;
-            f.(slot) <- 0;
-            match init with Some init -> f.(slot) <- init f | None -> ()),
+        ( (match init with
+          | Some init ->
+              let init = compile_expr c env ~owed:n init in
+              fun f ->
+                f.(slot) <- 0;
+                f.(slot) <- init f
+          | None -> fun f -> charge_n t n; f.(slot) <- 0),
           env,
           None )
   | Ast.Sexpr e ->
-      let ce = compile_expr c env e in
-      plain (fun f -> charge t; ignore (ce f))
+      let ce = compile_expr c env ~owed:n e in
+      plain (fun f -> ignore (ce f))
   | Ast.Sif (cond, a, b) ->
-      let cc = compile_expr c env cond in
+      let cc = compile_expr c env ~owed:n cond in
       let ca = compile_block c env a in
       let cb = compile_block c env b in
-      plain (fun f -> charge t; if cc f <> 0 then ca f else cb f)
+      plain (fun f -> if cc f <> 0 then ca f else cb f)
   | Ast.Swhile (cond, body) ->
       let cc = compile_expr c env cond in
       let body = compile_block c env body in
       plain (fun f ->
-          charge t;
+          charge_n t n;
           try
             while cc f <> 0 do
               (try body f with Continue_exc -> ());
@@ -567,7 +710,7 @@ and compile_stmt c env (s : Ast.stmt) =
       let body = compile_block c env body in
       let step = compile_block c env step in
       plain (fun f ->
-          charge t;
+          charge_n t n;
           try
             while cc f <> 0 do
               (try body f with Continue_exc -> ());
@@ -575,37 +718,41 @@ and compile_stmt c env (s : Ast.stmt) =
               t.on_backedge ()
             done
           with Break_exc -> ())
-  | Ast.Sreturn e ->
-      let ce = match e with Some e -> compile_expr c env e | None -> fun _ -> 0 in
-      plain (fun f -> charge t; raise_notrace (Return_exc (ce f)))
-  | Ast.Sbreak -> plain (fun _ -> charge t; raise_notrace Break_exc)
-  | Ast.Scontinue -> plain (fun _ -> charge t; raise_notrace Continue_exc)
-  | Ast.Sblock body ->
-      let body = compile_block c env body in
-      plain (fun f -> charge t; body f)
-  | Ast.Scosy_start | Ast.Scosy_end -> plain (fun _ -> charge t)
+  | Ast.Sreturn (Some e) ->
+      let ce = compile_expr c env ~owed:n e in
+      plain (fun f -> raise_notrace (Return_exc (ce f)))
+  | Ast.Sreturn None -> plain (fun _ -> charge_n t n; raise_notrace (Return_exc 0))
+  | Ast.Sbreak -> plain (fun _ -> charge_n t n; raise_notrace Break_exc)
+  | Ast.Scontinue -> plain (fun _ -> charge_n t n; raise_notrace Continue_exc)
+  | Ast.Sblock body -> plain (compile_block c env ~owed:n body)
+  | Ast.Scosy_start | Ast.Scosy_end -> plain (fun _ -> charge_n t n)
 
 (* A block opens a scope.  Its addressable locals are freed when it is
    left, normally or by an exception, most recent first; their slots
-   hold -1 until their declaration runs. *)
-and compile_block c env stmts : frame -> unit =
+   hold -1 until their declaration runs.  The first statement takes
+   [owed]. *)
+and compile_block c env ?(owed = 0) stmts : frame -> unit =
   let t = c.t in
-  let rec go env = function
+  let rec go env owed = function
     | [] -> ([], [])
     | s :: rest ->
-        let code, env, stack = compile_stmt c env s in
-        let codes, stacks = go env rest in
+        let code, env, stack = compile_stmt c env ~owed s in
+        let codes, stacks = go env 0 rest in
         (code :: codes, Option.to_list stack @ stacks)
   in
-  let codes, stacks = go env stmts in
-  let rec seq = function
-    | [] -> fun _ -> ()
+  let codes, stacks = go env owed stmts in
+  let body =
+    match codes with
+    | [] -> if owed > 0 then fun _ -> charge_n t owed else fun _ -> ()
     | [ s ] -> s
-    | s :: rest ->
-        let rest = seq rest in
-        fun f -> s f; rest f
+    | [ s1; s2 ] -> fun f -> s1 f; s2 f
+    | codes ->
+        let codes = Array.of_list codes in
+        fun f ->
+          for k = 0 to Array.length codes - 1 do
+            codes.(k) f
+          done
   in
-  let body = seq codes in
   match Array.of_list stacks with
   | [||] -> body
   | stacks ->

@@ -291,6 +291,28 @@ let test_net_retransmit_budget () =
     (List.mem "net:abandoned" r.Resilience.r_errs);
   Alcotest.(check (option string)) "nothing escaped" None r.Resilience.r_escaped
 
+(* Every Recv/Accept gets EAGAIN (the plan `kfault_tool run-plan
+   syscall.eagain=nth:1` arms): after 8 injections in a row the next
+   call goes through without consulting the site, so the run ends and
+   serves the same bytes as a fault-free one.  Every consulted call
+   fires, so the fires come in whole streaks of 8. *)
+let test_eagain_budget () =
+  let clean = Resilience.run () in
+  let plan = { Kfault.site = "syscall.eagain"; trigger = Kfault.Every_nth 1 } in
+  let r, t = Resilience.run_with ~plans:[ plan ] () in
+  let injected = counter_value t "retry.eagain_injected" in
+  Alcotest.(check bool) "EAGAIN injected" true (injected > 0);
+  Alcotest.(check int) "whole streaks of 8" 0 (injected mod 8);
+  (match List.find_opt (fun (site, _, _) -> site = "syscall.eagain") r.Resilience.r_counts with
+  | Some (_, occurrences, fires) ->
+      Alcotest.(check int) "every consulted call fired" occurrences fires;
+      Alcotest.(check int) "fires counted" fires injected
+  | None -> Alcotest.fail "syscall.eagain not registered");
+  Alcotest.(check string) "same payload as a fault-free run"
+    clean.Resilience.r_digest r.Resilience.r_digest;
+  Alcotest.(check (list string)) "no clean failures" [] r.Resilience.r_errs;
+  Alcotest.(check (option string)) "nothing escaped" None r.Resilience.r_escaped
+
 (* --- twin determinism (qcheck) ----------------------------------------- *)
 
 let sites =
@@ -396,6 +418,7 @@ let () =
             test_net_backoff_recovers;
           Alcotest.test_case "net retransmit budget" `Quick
             test_net_retransmit_budget;
+          Alcotest.test_case "eagain budget" `Quick test_eagain_budget;
         ] );
       ( "determinism",
         [ QCheck_alcotest.to_alcotest qcheck_twin_determinism ] );

@@ -61,6 +61,85 @@ let test_phys_mem_errors () =
     (Invalid_argument "Phys_mem.free_frame: double free") (fun () ->
       Ksim.Phys_mem.free_frame mem f)
 
+let test_phys_mem_page_size () =
+  Alcotest.check_raises "not a power of two"
+    (Invalid_argument "Phys_mem.create: page_size") (fun () ->
+      ignore (Ksim.Phys_mem.create ~page_size:3000));
+  Alcotest.check_raises "zero" (Invalid_argument "Phys_mem.create: page_size")
+    (fun () -> ignore (Ksim.Phys_mem.create ~page_size:0));
+  List.iter
+    (fun page_size ->
+      Alcotest.(check int) "accepted" page_size
+        (Ksim.Phys_mem.page_size (Ksim.Phys_mem.create ~page_size)))
+    [ 64; 256; 4096 ]
+
+(* --- page table ---------------------------------------------------------- *)
+
+(* The page table's lookup cache must agree with a plain table on every
+   step.  The vpns collide in any small power-of-two cache (multiples of
+   64 share slot 0; 1/65, 63/127/-1 share a slot), and a negative vpn
+   probes the empty-slot marker. *)
+type pt_op = Map of int | Remap of int | Unmap of int | Find of int
+
+let pt_vpns = [| 0; 64; 128; 4096; -64; 1; 65; 63; 127; -1 |]
+
+let gen_pt_op =
+  QCheck.Gen.(
+    map2
+      (fun k v ->
+        let vpn = pt_vpns.(v) in
+        match k with 0 -> Map vpn | 1 -> Remap vpn | 2 -> Unmap vpn | _ -> Find vpn)
+      (int_bound 5) (int_bound (Array.length pt_vpns - 1)))
+
+let pp_pt_op = function
+  | Map v -> Printf.sprintf "map %d" v
+  | Remap v -> Printf.sprintf "remap %d" v
+  | Unmap v -> Printf.sprintf "unmap %d" v
+  | Find v -> Printf.sprintf "find %d" v
+
+let qcheck_page_table_cache =
+  QCheck.Test.make ~name:"page table cache agrees with a plain table" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list pp_pt_op)
+       QCheck.Gen.(list_size (int_range 1 80) gen_pt_op))
+    (fun ops ->
+      let pt = Ksim.Page_table.create () in
+      let model = Hashtbl.create 16 in
+      let fresh = ref 0 in
+      let pte () =
+        incr fresh;
+        Ksim.Pte.normal ~frame:!fresh ~writable:(!fresh mod 2 = 0)
+      in
+      let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+      (* [find] agrees with the model, [Not_found] included *)
+      let agrees vpn =
+        match (Ksim.Page_table.find pt ~vpn, Hashtbl.find_opt model vpn) with
+        | p, Some q -> p == q
+        | _, None -> false
+        | exception Not_found -> not (Hashtbl.mem model vpn)
+      in
+      let step op =
+        match op with
+        | Map vpn ->
+            let p = pte () in
+            let mapped = Hashtbl.mem model vpn in
+            if not mapped then Hashtbl.replace model vpn p;
+            raises (fun () -> Ksim.Page_table.map pt ~vpn p) = mapped && agrees vpn
+        | Remap vpn ->
+            let p = pte () in
+            Hashtbl.replace model vpn p;
+            Ksim.Page_table.remap pt ~vpn p;
+            agrees vpn
+        | Unmap vpn ->
+            let mapped = Hashtbl.mem model vpn in
+            Hashtbl.remove model vpn;
+            raises (fun () -> Ksim.Page_table.unmap pt ~vpn) = not mapped && agrees vpn
+        | Find vpn -> agrees vpn
+      in
+      List.for_all step ops
+      && Array.for_all agrees pt_vpns
+      && Ksim.Page_table.mapped pt = Hashtbl.length model)
+
 (* --- address space ------------------------------------------------------ *)
 
 let test_address_space_rw () =
@@ -600,7 +679,9 @@ let () =
         [
           Alcotest.test_case "alloc/free/rw" `Quick test_phys_mem;
           Alcotest.test_case "errors" `Quick test_phys_mem_errors;
+          Alcotest.test_case "page size" `Quick test_phys_mem_page_size;
         ] );
+      ("page-table", [ QCheck_alcotest.to_alcotest qcheck_page_table_cache ]);
       ( "address-space",
         [
           Alcotest.test_case "read/write" `Quick test_address_space_rw;

@@ -700,7 +700,7 @@ let observe_src (_, src, fn, args) =
 
 (* The journalfs hot paths on staged buffers; [kgcc] loads the module
    through the KGCC pass with its runtime attached. *)
-let observe_jfs ?(kgcc = false) fn =
+let observe_jfs ?(kgcc = false) ?max_steps fn =
   let program () =
     let p = Minic.Parser.parse_program ~file:"journalfs.c" Kvfs.Journalfs.source in
     if kgcc then Kgcc.Compile.transform p else p
@@ -750,7 +750,7 @@ let observe_jfs ?(kgcc = false) fn =
         Bytes.set bitmap 10 '\015';
         [ stage i ~name:"bitmap" bitmap; 64 ]
   in
-  observe ~prepare fn
+  observe ~prepare ?max_steps fn
     ~load:(fun i -> ignore (Minic.Interp.load_program i (program ())))
     ~setup
 
@@ -862,7 +862,211 @@ let golden_expected =
      "ret 84 steps=252 cycles=1096 tlb=13/1 edges=14 out=\"\" objs=[+heap:bitmap@10000/64]");
     ("jfs_checksum-kgcc",
      "ret 4372148 steps=16213 cycles=558114 tlb=600/1 edges=600 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@0",
+     "step-limit steps=1 cycles=62 tlb=0/1 edges=0 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@1",
+     "step-limit steps=2 cycles=66 tlb=0/1 edges=0 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@1652",
+     "step-limit steps=1653 cycles=6820 tlb=75/1 edges=74 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@3304",
+     "step-limit steps=3305 cycles=13578 tlb=150/1 edges=149 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@4955",
+     "step-limit steps=4956 cycles=20332 tlb=225/1 edges=224 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6606",
+     "step-limit steps=6607 cycles=27086 tlb=300/1 edges=299 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6607",
+     "step-limit steps=6608 cycles=27090 tlb=300/1 edges=299 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6608",
+     "step-limit steps=6609 cycles=27094 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6609",
+     "step-limit steps=6610 cycles=27098 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6610",
+     "step-limit steps=6611 cycles=27102 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6611",
+     "step-limit steps=6612 cycles=27106 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6612",
+     "step-limit steps=6613 cycles=27110 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6613",
+     "step-limit steps=6614 cycles=27114 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6614",
+     "step-limit steps=6615 cycles=27118 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6615",
+     "step-limit steps=6616 cycles=27122 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6616",
+     "step-limit steps=6617 cycles=27126 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@6617",
+     "step-limit steps=6618 cycles=27130 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@8259",
+     "step-limit steps=8260 cycles=33848 tlb=375/1 edges=375 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@9910",
+     "step-limit steps=9911 cycles=40602 tlb=450/1 edges=450 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@11562",
+     "step-limit steps=11563 cycles=47360 tlb=525/1 edges=525 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@13212",
+     "step-limit steps=13213 cycles=54110 tlb=600/1 edges=600 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum@13213",
+     "ret 4372148 steps=13213 cycles=54114 tlb=600/1 edges=600 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_scan_dir@0",
+     "step-limit steps=1 cycles=64 tlb=1/1 edges=0 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@1",
+     "step-limit steps=2 cycles=68 tlb=1/1 edges=0 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@220",
+     "step-limit steps=221 cycles=1006 tlb=32/1 edges=7 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@439",
+     "step-limit steps=440 cycles=1950 tlb=66/1 edges=15 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@658",
+     "step-limit steps=659 cycles=2892 tlb=99/1 edges=23 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@876",
+     "step-limit steps=877 cycles=3826 tlb=130/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@877",
+     "step-limit steps=878 cycles=3830 tlb=130/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@878",
+     "step-limit steps=879 cycles=3834 tlb=130/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@879",
+     "step-limit steps=880 cycles=3838 tlb=130/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@880",
+     "step-limit steps=881 cycles=3844 tlb=131/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@881",
+     "step-limit steps=882 cycles=3848 tlb=131/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@882",
+     "step-limit steps=883 cycles=3852 tlb=131/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@883",
+     "step-limit steps=884 cycles=3856 tlb=131/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@884",
+     "step-limit steps=885 cycles=3860 tlb=131/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@885",
+     "step-limit steps=886 cycles=3866 tlb=132/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@886",
+     "step-limit steps=887 cycles=3870 tlb=132/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@887",
+     "step-limit steps=888 cycles=3874 tlb=132/1 edges=31 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@1096",
+     "step-limit steps=1097 cycles=4776 tlb=165/1 edges=39 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@1315",
+     "step-limit steps=1316 cycles=5714 tlb=196/1 edges=47 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@1534",
+     "step-limit steps=1535 cycles=6660 tlb=231/1 edges=55 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@1752",
+     "step-limit steps=1753 cycles=7600 tlb=265/1 edges=63 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_scan_dir@1753",
+     "ret 11 steps=1753 cycles=7604 tlb=265/1 edges=63 out=\"\" objs=[+heap:entries@10000/512 +heap:target@10200/7]");
+    ("jfs_bitmap_find@0",
+     "step-limit steps=1 cycles=62 tlb=0/1 edges=0 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@1",
+     "step-limit steps=2 cycles=66 tlb=0/1 edges=0 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@32",
+     "step-limit steps=33 cycles=194 tlb=2/1 edges=1 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@64",
+     "step-limit steps=65 cycles=326 tlb=4/1 edges=4 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@95",
+     "step-limit steps=96 cycles=454 tlb=6/1 edges=6 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@126",
+     "step-limit steps=127 cycles=584 tlb=9/1 edges=8 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@127",
+     "step-limit steps=128 cycles=588 tlb=9/1 edges=8 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@128",
+     "step-limit steps=129 cycles=592 tlb=9/1 edges=8 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@129",
+     "step-limit steps=130 cycles=596 tlb=9/1 edges=8 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@130",
+     "step-limit steps=131 cycles=600 tlb=9/1 edges=8 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@131",
+     "step-limit steps=132 cycles=604 tlb=9/1 edges=8 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@132",
+     "step-limit steps=133 cycles=608 tlb=9/1 edges=9 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@133",
+     "step-limit steps=134 cycles=612 tlb=9/1 edges=9 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@134",
+     "step-limit steps=135 cycles=616 tlb=9/1 edges=9 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@135",
+     "step-limit steps=136 cycles=620 tlb=9/1 edges=9 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@136",
+     "step-limit steps=137 cycles=624 tlb=9/1 edges=9 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@137",
+     "step-limit steps=138 cycles=628 tlb=9/1 edges=9 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@158",
+     "step-limit steps=159 cycles=716 tlb=11/1 edges=10 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@190",
+     "step-limit steps=191 cycles=846 tlb=12/1 edges=11 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@221",
+     "step-limit steps=222 cycles=970 tlb=12/1 edges=13 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@251",
+     "step-limit steps=252 cycles=1092 tlb=13/1 edges=14 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_bitmap_find@252",
+     "ret 84 steps=252 cycles=1096 tlb=13/1 edges=14 out=\"\" objs=[+heap:bitmap@10000/64]");
+    ("jfs_checksum-kgcc@0",
+     "step-limit steps=1 cycles=62 tlb=0/1 edges=0 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@1",
+     "step-limit steps=2 cycles=66 tlb=0/1 edges=0 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@2027",
+     "step-limit steps=2028 cycles=69820 tlb=75/1 edges=74 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@4054",
+     "step-limit steps=4055 cycles=139578 tlb=150/1 edges=149 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@6080",
+     "step-limit steps=6081 cycles=209332 tlb=225/1 edges=224 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8106",
+     "step-limit steps=8107 cycles=279086 tlb=300/1 edges=299 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8107",
+     "step-limit steps=8108 cycles=279090 tlb=300/1 edges=299 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8108",
+     "step-limit steps=8109 cycles=279094 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8109",
+     "step-limit steps=8110 cycles=279098 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8110",
+     "step-limit steps=8111 cycles=279102 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8111",
+     "step-limit steps=8112 cycles=279106 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8112",
+     "step-limit steps=8113 cycles=279110 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8113",
+     "step-limit steps=8114 cycles=279114 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8114",
+     "step-limit steps=8115 cycles=279118 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8115",
+     "step-limit steps=8116 cycles=279122 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8116",
+     "step-limit steps=8117 cycles=279126 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@8117",
+     "step-limit steps=8118 cycles=279130 tlb=300/1 edges=300 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@10134",
+     "step-limit steps=10135 cycles=348848 tlb=375/1 edges=375 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@12160",
+     "step-limit steps=12161 cycles=418602 tlb=450/1 edges=450 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@14187",
+     "step-limit steps=14188 cycles=488360 tlb=525/1 edges=525 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@16212",
+     "step-limit steps=16213 cycles=558110 tlb=600/1 edges=600 out=\"\" objs=[+heap:buf@10000/600]");
+    ("jfs_checksum-kgcc@16213",
+     "ret 4372148 steps=16213 cycles=558114 tlb=600/1 edges=600 out=\"\" objs=[+heap:buf@10000/600]");
   ]
+
+(* [max_steps] cut inside each journalfs hot path: before the first
+   step, at eight points spread over the run, at twelve consecutive
+   steps mid-run (about half a loop iteration, charge by charge), one
+   step short of the end and exactly at it.  Each cut must stop at the
+   same step with the same clock, TLB counts and events: batched charges
+   ([Interp.charge_n]) must fall back to single ones at the limit.
+   Their goldens were recorded from the closure evaluator before it
+   folded leaf operands into their parents and batched charges. *)
+let jfs_cuts =
+  let cuts total =
+    List.sort_uniq compare
+      ((0 :: List.init 8 (fun k -> 1 + (k * total / 8)))
+      @ List.init 12 (fun k -> (total / 2) + k)
+      @ [ total - 1; total ])
+  in
+  List.concat_map
+    (fun (name, kgcc, fn, total) ->
+      List.map
+        (fun n ->
+          (Printf.sprintf "%s@%d" name n, fun () -> observe_jfs ~kgcc ~max_steps:n fn))
+        (cuts total))
+    [
+      ("jfs_checksum", false, "jfs_checksum", 13213);
+      ("jfs_scan_dir", false, "jfs_scan_dir", 1753);
+      ("jfs_bitmap_find", false, "jfs_bitmap_find", 252);
+      ("jfs_checksum-kgcc", true, "jfs_checksum", 16213);
+    ]
 
 let golden_cases =
   List.map (fun ((name, _, _, _) as p) -> (name, fun () -> observe_src p))
@@ -874,6 +1078,7 @@ let golden_cases =
       ("jfs_bitmap_find", fun () -> observe_jfs "jfs_bitmap_find");
       ("jfs_checksum-kgcc", fun () -> observe_jfs ~kgcc:true "jfs_checksum");
     ]
+  @ jfs_cuts
 
 let golden_tests =
   List.map
